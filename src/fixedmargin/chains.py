@@ -117,7 +117,7 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
                 "swap chain on a matrix with fewer than two 1s can never move",
                 stacklevel=2,
             )
-        step = swap._stepper(rows, initial.copy().ones, weights._rows, u)
+        step = swap._stepper(rows, initial.copy().ones, weights._log_rows, u)
 
     counts = [0, 0, 0]
     recorders = [(stat.name, stat.func, []) for stat in stat_defs]

@@ -36,6 +36,7 @@ from .matrices import (
 )
 from .oracle import (
     SpaceTooLargeError,
+    _max_pairwise_hamming,
     balance_residual,
     connectivity,
     diameter,
@@ -343,6 +344,7 @@ def cmd_enumerate(args) -> int:
     ]
     for state, prob in zip(space.states, space.probabilities):
         lines.append(f"{_encode_state(state)},{_fmt(prob)}")
+    lines.append(f"# log_kappa: {_fmt(space.log_kappa)}")
     lines.append(f"# kappa: {_fmt(space.kappa)}")
     text = "\n".join(lines) + "\n"
     if args.out is None:
@@ -355,14 +357,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _max_pairwise_hamming(space) -> int:
-    flat = np.array([state.entries.ravel() for state in space.states], dtype=np.int16)
-    worst = 0
-    for i in range(len(flat) - 1):
-        worst = max(worst, int(np.abs(flat[i + 1:] - flat[i]).sum(axis=1).max()))
-    return worst
-
-
 def cmd_verify(args) -> int:
     row_sums, col_sums, weights = _resolve_margins(args)
     space = enumerate_space(row_sums, col_sums, weights, cap=args.cap)
@@ -373,7 +367,9 @@ def cmd_verify(args) -> int:
         "rows": row_sums,
         "cols": col_sums,
         "states": len(space),
-        "kappa": float(space.kappa),
+        # JSON has no inf or nan; an unrepresentable kappa is null
+        "log_kappa": space.log_kappa if np.isfinite(space.log_kappa) else None,
+        "kappa": space.kappa if np.isfinite(space.kappa) else None,
         "tolerance": tolerance,
         "algorithms": {},
     }

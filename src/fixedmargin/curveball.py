@@ -6,14 +6,13 @@ has a 0, and w[i', j] > 0 (so the 1 could legally relocate); symmetrically
 for row i'.  If either side is empty the proposal is a no-trade.  Otherwise
 the union of both candidate lists is permuted uniformly and split back into
 two sets of the original sizes.  Writing j_i for the columns row i would
-gain and j_i' for those row i' would gain, the trade is accepted with
+gain and j_i' for those row i' would gain, the trade is accepted with the
+swap's logistic 1 / (1 + exp(d)) of the log-odds, with l = log w,
 
-    prod(w[i, j], j in j_i) * prod(w[i', j], j in j_i')
-    ---------------------------------------------------  ,
-            same  +  prod(w[i', j], j in j_i) * prod(w[i, j], j in j_i')
+    d = sum(l[i', j] - l[i, j], j in j_i) + sum(l[i, j] - l[i', j], j in j_i'),
 
-computed as log-weight sums for stability since trades can involve dozens of
-factors.  A permutation that reproduces the current sets is an identity
+so a one-column trade, which is a checkerboard swap, gets the swap's exact
+probability.  A permutation that reproduces the current sets is an identity
 trade, accepted as a self-transition without a coin flip.  One accepted trade
 can move many 1s at once, which is what makes this chain mix faster than
 single swaps on most inputs.
@@ -21,10 +20,10 @@ single swaps on most inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, trunc
+from math import trunc
 
 from ._streams import UniformStream, draw_pair
-from .matrices import BinaryMatrix, WeightMatrix, _RowBitsView
+from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _RowBitsView
 
 NO_TRADE = "no-trade"
 REJECTED = "rejected"
@@ -102,12 +101,7 @@ def _trade_prob(log_rows, i, ip, gained_i, gained_ip) -> float:
     for j in gained_ip:
         s_new += l_ip[j]
         s_old += l_i[j]
-    d = s_old - s_new
-    if d > 700.0:
-        return 0.0
-    if d < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + exp(d))
+    return _accept_prob(s_old - s_new)
 
 
 def trade_probability(weights: WeightMatrix, i: int, i_prime: int, moved_to_i, moved_to_i_prime) -> float:
@@ -125,11 +119,9 @@ def trade_probability(weights: WeightMatrix, i: int, i_prime: int, moved_to_i, m
         raise ValueError("a trade moves equally many columns in each direction")
     if set(gi) & set(gip):
         raise ValueError("a column cannot move in both directions")
-    if not gi:
-        return 1.0
-    w = weights._rows
+    both = weights._pos_masks[i] & weights._pos_masks[i_prime]
     for j in gi + gip:
-        if w[i][j] <= 0.0 or w[i_prime][j] <= 0.0:
+        if not both >> j & 1:
             raise ValueError(f"column {j} touches a zero weight; not a valid trade")
     return _trade_prob(weights._log_rows, i, i_prime, gi, gip)
 

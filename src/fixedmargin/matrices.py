@@ -9,7 +9,7 @@ the plain-text matrix file format shared by the command line tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log
+from math import exp, inf, log
 
 import numpy as np
 
@@ -113,6 +113,11 @@ class BinaryMatrix:
         assert set(self.ones) == expect
 
 
+def _accept_prob(d: float) -> float:
+    """w_new / (w_old + w_new) from d = log w_old - log w_new; every acceptance uses it."""
+    return 0.0 if d > 700.0 else 1.0 / (1.0 + exp(d))
+
+
 class _RowBitsView:
     """Row bitsets of an entry array, read and written in place.
 
@@ -146,12 +151,12 @@ class WeightMatrix:
 
     The weight array is frozen after construction.  `zero_pattern` lists the
     structurally forbidden cells as a frozenset of (row, col) pairs.  The
-    samplers read three row-wise views computed once here: the weights as
-    nested lists, their natural logs (-inf on structural zeros), and one
-    bitmask per row of the columns with positive weight.
+    samplers and the oracle read only the natural logs, as nested lists with
+    -inf on structural zeros, and one bitmask per row of the columns with
+    positive weight; in logs, tiny and huge weights cannot under- or overflow.
     """
 
-    __slots__ = ("weights", "m", "n", "zero_pattern", "_rows", "_log_rows", "_pos_masks")
+    __slots__ = ("weights", "m", "n", "zero_pattern", "_log_rows", "_pos_masks")
 
     def __init__(self, weights):
         w = np.array(weights, dtype=np.float64)
@@ -165,8 +170,7 @@ class WeightMatrix:
         self.weights = w
         self.m, self.n = w.shape
         self.zero_pattern = frozenset((int(i), int(j)) for i, j in np.argwhere(w == 0.0))
-        self._rows = w.tolist()
-        self._log_rows = [[log(x) if x > 0.0 else -inf for x in row] for row in self._rows]
+        self._log_rows = [[log(x) if x > 0.0 else -inf for x in row] for row in w.tolist()]
         self._pos_masks = list(_RowBitsView(w > 0.0))
 
     @classmethod

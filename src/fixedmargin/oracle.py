@@ -17,8 +17,8 @@ import numpy as np
 
 from .chains import ALGORITHMS, Trace
 from .curveball import _candidates, _columns, _trade_prob
-from .matrices import BinaryMatrix, WeightMatrix
-from .swap import _swap_weights, swap_probability
+from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
+from .swap import _swap_weights
 
 
 class SpaceTooLargeError(RuntimeError):
@@ -33,10 +33,10 @@ class StateNotInSpaceError(KeyError):
 class EnumeratedSpace:
     """Every positive-probability matrix for fixed margins and weights.
 
-    `probabilities[s]` is the exact model probability of `states[s]`; kappa
-    is the normalizing constant (sum of cell-weight products over all
-    states).  States are listed in a deterministic row-wise enumeration
-    order, and `index_of` finds a matrix by its canonical byte key.
+    `probabilities[s]` is the exact model probability of `states[s]`;
+    log_kappa is the log of the normalizing constant kappa, the sum of
+    cell-weight products over all states.  States are listed in a
+    deterministic row-wise order; `index_of` finds a matrix by its key.
     """
 
     row_sums: np.ndarray
@@ -44,11 +44,17 @@ class EnumeratedSpace:
     weights: WeightMatrix
     states: list[BinaryMatrix]
     probabilities: np.ndarray
-    kappa: float
+    log_kappa: float
     _index: dict[bytes, int] = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def kappa(self) -> float:
+        """exp(log_kappa): 0.0 when it underflows, inf when it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_kappa))
 
     def index_of(self, matrix: BinaryMatrix) -> int:
         try:
@@ -64,8 +70,8 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     """Enumerate all binary matrices with the given margins and no 1 on a zero weight.
 
     Row-wise backtracking with column-capacity pruning.  Infeasible margins
-    yield an empty space (kappa 0), not an error.  Raises SpaceTooLargeError
-    as soon as more than `cap` states are found.
+    yield an empty space (log_kappa -inf), not an error.  Raises
+    SpaceTooLargeError as soon as more than `cap` states are found.
     """
     r = np.asarray(row_sums, dtype=np.int64)
     c = np.asarray(col_sums, dtype=np.int64)
@@ -83,8 +89,7 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
 
     states: list[BinaryMatrix] = []
     if m > 0 and n > 0 and r.sum() == c.sum() and (r <= n).all() and (c <= m).all():
-        wpos = weights.weights > 0.0
-        allowed = [np.flatnonzero(wpos[i]).tolist() for i in range(m)]
+        allowed = [_columns(mask) for mask in weights._pos_masks]
         remaining = c.tolist()
         chosen: list[tuple[int, ...]] = []
 
@@ -122,19 +127,25 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
         descend(0)
 
     if not states:
-        return EnumeratedSpace(r, c, weights, [], np.zeros(0), 0.0, {})
+        return EnumeratedSpace(r, c, weights, [], np.zeros(0), -math.inf, {})
 
-    logw = np.full((m, n), -np.inf)
-    positive = weights.weights > 0.0
-    logw[positive] = np.log(weights.weights[positive])
+    logw = np.array(weights._log_rows)
     logps = np.array([float(logw[state.entries == 1].sum()) for state in states])
     peak = logps.max()
     scaled = np.exp(logps - peak)
     total = scaled.sum()
     probabilities = scaled / total
-    kappa = float(np.exp(peak + np.log(total)))
     index = {state.key(): idx for idx, state in enumerate(states)}
-    return EnumeratedSpace(r, c, weights, states, probabilities, kappa, index)
+    return EnumeratedSpace(r, c, weights, states, probabilities,
+                           float(peak + np.log(total)), index)
+
+
+def _max_pairwise_hamming(space: EnumeratedSpace) -> int:
+    flat = np.array([state.entries.ravel() for state in space.states], dtype=np.int16)
+    worst = 0
+    for i in range(len(flat) - 1):
+        worst = max(worst, int(np.abs(flat[i + 1:] - flat[i]).sum(axis=1).max()))
+    return worst
 
 
 def _require_algorithm(algorithm: str) -> None:
@@ -178,10 +189,9 @@ def _fill_swap_kernel(space: EnumeratedSpace, kernel: np.ndarray) -> None:
         inv_pairs = 1.0 / (k * (k - 1) // 2)
         rows = state._row_bits()
         for (i, j), (ip, jp) in itertools.combinations(ones, 2):
-            if _swap_weights(rows, weights._rows, i, j, ip, jp) is None:
-                kernel[s, s] += inv_pairs
-                continue
-            p = swap_probability(weights, i, j, ip, jp)
+            # a pair that is no checkerboard moves nowhere, as if always rejected
+            d = _swap_weights(rows, weights._log_rows, i, j, ip, jp)
+            p = 0.0 if d is None else _accept_prob(d)
             if p > 0.0:
                 kernel[s, _target_index(space, rows, i, ip, 1 << j | 1 << jp)] += inv_pairs * p
             kernel[s, s] += inv_pairs * (1.0 - p)

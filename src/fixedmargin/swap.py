@@ -1,22 +1,23 @@
-"""Weighted checkerboard swap: one-pair proposals with a weight-ratio acceptance.
+"""Weighted checkerboard swap: one-pair proposals with a logistic acceptance.
 
 A proposal picks an unordered pair of 1-cells uniformly at random (all
 C(k, 2) pairs are eligible, including pairs sharing a row or column, which
 simply fail the checkerboard test).  A checkerboard pair, 1s at (i, j) and
 (i', j') with the opposite corners empty, is swapped to (i, j') and (i', j)
-with probability
+with probability 1 / (1 + exp(d)), the logistic of the log-odds
 
-    w[i', j] * w[i, j'] / (w[i, j] * w[i', j'] + w[i', j] * w[i, j']),
+    d = (l[i, j] + l[i', j']) - (l[i', j] + l[i, j']),   l = log w.
 
-which makes the chain reversible with respect to the cell-weight product
-model.  Margins are preserved by construction.
+That is w[i', j] w[i, j'] / (w[i, j] w[i', j'] + w[i', j] w[i, j']) without
+the products' underflow or overflow; it makes the chain reversible with respect
+to the cell-weight product model.  Margins are preserved by construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ._streams import UniformStream, draw_pair
-from .matrices import BinaryMatrix, WeightMatrix, _RowBitsView
+from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _RowBitsView
 
 NO_CHECKERBOARD = "no-checkerboard"
 REJECTED = "rejected"
@@ -38,18 +39,17 @@ class SwapProposal:
     swap_probability: float | None
 
 
-def _swap_weights(rows, wrows, i: int, j: int, i_prime: int, j_prime: int):
-    """Weights (move, move + stay) of swapping 1s at (i, j), (i', j') to (i, j'), (i', j).
+def _swap_weights(rows, log_rows, i: int, j: int, i_prime: int, j_prime: int):
+    """Log-odds d against swapping 1s at (i, j), (i', j') to (i, j'), (i', j).
 
     `rows` are the state's row bitsets.  Returns None when the pair is not a
     checkerboard: a shared row or column, or an occupied opposite corner.
-    The swap is accepted with probability move / total, decided in-sampler
-    as u * total < move.
+    The swap is accepted with probability `_accept_prob(d)`.
     """
     if i == i_prime or j == j_prime or rows[i] >> j_prime & 1 or rows[i_prime] >> j & 1:
         return None
-    move = wrows[i_prime][j] * wrows[i][j_prime]
-    return move, wrows[i][j] * wrows[i_prime][j_prime] + move
+    return ((log_rows[i][j] + log_rows[i_prime][j_prime])
+            - (log_rows[i_prime][j] + log_rows[i][j_prime]))
 
 
 def swap_probability(weights: WeightMatrix, i: int, j: int, i_prime: int, j_prime: int) -> float:
@@ -60,16 +60,15 @@ def swap_probability(weights: WeightMatrix, i: int, j: int, i_prime: int, j_prim
     unreachable from any matrix that is compatible with the weights).
     """
     # in an otherwise empty matrix only a shared row or column breaks the checkerboard
-    weighed = _swap_weights([0] * weights.m, weights._rows, i, j, i_prime, j_prime)
-    if weighed is None:
+    d = _swap_weights([0] * weights.m, weights._log_rows, i, j, i_prime, j_prime)
+    if d is None:
         raise ValueError("swap cells must occupy distinct rows and distinct columns")
-    move, total = weighed
-    if total == 0.0:
+    if d != d:  # NaN, from -inf - -inf: both pairs hold a zero weight
         raise ValueError("both cell pairs have zero weight; the state is incompatible")
-    return move / total
+    return _accept_prob(d)
 
 
-def _stepper(rows, ones, wrows, u):
+def _stepper(rows, ones, log_rows, u):
     """One-proposal step function over a sampler state; returns 0 no-op, 1 reject, 2 swap.
 
     The state is the row bitsets plus the list of 1-cell coordinates.  An
@@ -84,11 +83,10 @@ def _stepper(rows, ones, wrows, u):
         a, b = draw_pair(k, u)
         i, j = ones[a]
         ip, jp = ones[b]
-        weighed = _swap_weights(rows, wrows, i, j, ip, jp)
-        if weighed is None:
+        d = _swap_weights(rows, log_rows, i, j, ip, jp)
+        if d is None:
             return 0
-        move, total = weighed
-        if u() * total < move:
+        if u() < _accept_prob(d):
             ones[a] = (i, jp)
             ones[b] = (ip, j)
             flip = 1 << j | 1 << jp
@@ -113,9 +111,8 @@ def propose_swap(state: BinaryMatrix, weights: WeightMatrix, rng) -> SwapProposa
     a, b = draw_pair(k, UniformStream(rng, block=2).u)
     first, second = state.ones[a], state.ones[b]
     (i, j), (ip, jp) = first, second
-    if _swap_weights(_RowBitsView(state.entries), weights._rows, i, j, ip, jp) is None:
-        return SwapProposal((first, second), False, None)
-    return SwapProposal((first, second), True, swap_probability(weights, i, j, ip, jp))
+    d = _swap_weights(_RowBitsView(state.entries), weights._log_rows, i, j, ip, jp)
+    return SwapProposal((first, second), d is not None, None if d is None else _accept_prob(d))
 
 
 def swap_step(state: BinaryMatrix, weights: WeightMatrix, rng) -> str:
@@ -126,6 +123,6 @@ def swap_step(state: BinaryMatrix, weights: WeightMatrix, rng) -> str:
     fewer than two 1s can never move and every proposal reports
     "no-checkerboard".
     """
-    step = _stepper(_RowBitsView(state.entries), state.ones, weights._rows,
+    step = _stepper(_RowBitsView(state.entries), state.ones, weights._log_rows,
                     UniformStream(rng, block=4).u)
     return _OUTCOMES[step()]

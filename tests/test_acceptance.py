@@ -20,6 +20,7 @@ from fixedmargin.chains import (
 from fixedmargin.cli import main
 from fixedmargin.matrices import BinaryMatrix, WeightMatrix, apply_power
 from fixedmargin.oracle import (
+    _max_pairwise_hamming,
     balance_residual,
     connectivity,
     diameter,
@@ -32,14 +33,6 @@ from fixedmargin.oracle import (
 from fixedmargin.stats import c_score, diagonal_divergence, ess
 
 TOY_WEIGHTS = [[1.0, 2.0, 1.0], [2.0, 1.0, 2.0], [1.0, 2.0, 1.0]]
-
-
-def _max_pairwise_hamming(space) -> int:
-    flat = np.array([s.entries.ravel() for s in space.states], dtype=np.int16)
-    worst = 0
-    for i in range(len(flat) - 1):
-        worst = max(worst, int(np.abs(flat[i + 1:] - flat[i]).sum(axis=1).max()))
-    return worst
 
 
 def test_ac01_weighted_toy_distribution():

@@ -241,7 +241,11 @@ def test_enumerate_toy_space_to_stdout(tmp_path, toy_files, capsys):
     kappa_line = [c for c in comments if c.startswith("# kappa:")]
     assert len(kappa_line) == 1
     assert abs(float(kappa_line[0].split(":")[1]) - 18.0) < 1e-11
-    assert text.strip().split("\n")[-1].startswith("# kappa:")  # footer position
+    # footer position: log_kappa, then kappa last
+    log_line, last = text.strip().split("\n")[-2:]
+    assert last.startswith("# kappa:")
+    assert log_line.startswith("# log_kappa:")
+    assert float(log_line.split(":")[1]) == pytest.approx(np.log(18.0), rel=1e-12)
     total = sum(float(r.split(",")[1]) for r in rows)
     assert abs(total - 1.0) < 1e-12
 
@@ -259,6 +263,7 @@ def test_enumerate_infeasible_margins_give_empty_csv(capsys):
     assert rows == []
     assert "# states: 0" in comments
     assert "# kappa: 0.0" in comments
+    assert "# log_kappa: -inf" in comments
 
 
 def test_enumerate_cap_refusal_exits_3(capsys):
@@ -290,19 +295,29 @@ def test_enumerate_out_file_matches_stdout(tmp_path, toy_files, capsys):
 # -- verify -------------------------------------------------------------------
 
 
-def test_verify_toy_space_passes_all_checks(toy_files, capsys):
+def test_verify_toy_space_passes_all_checks(tmp_path, toy_files, capsys):
     matrix, weights = toy_files
-    assert main(["verify", matrix, "--weights", weights]) == 0
-    report = _report(capsys)
-    assert report["passed"] is True
-    assert set(report["algorithms"]) == {"swap", "curveball"}
-    for entry in report["algorithms"].values():
-        checks = entry["checks"]
-        assert checks["balance"]["passed"] and checks["balance"]["max_residual"] < 1e-12
-        assert checks["stationarity"]["passed"]
-        assert checks["connectivity"] == {"components": 1, "passed": True}
-        assert checks["diameter"] == {"value": 2, "bound": 3, "passed": True}
-        assert entry["sampling_valid"] is True
+    # the toy law at three weight scales; at 1e170 kappa is beyond the float
+    # range, so the report carries null, and log_kappa holds the value
+    for scale, kappa in [(1.0, pytest.approx(18.0, rel=1e-12)), (1e-170, 0.0), (1e170, None)]:
+        if scale != 1.0:
+            weights = _write(tmp_path / "w-scaled.txt", "\n".join(
+                " ".join(repr(float(w) * scale) for w in row.split())
+                for row in TOY_WEIGHTS.splitlines()))
+        assert main(["verify", matrix, "--weights", weights]) == 0
+        report = _report(capsys)
+        assert report["passed"] is True
+        assert report["kappa"] == kappa
+        assert report["log_kappa"] == pytest.approx(np.log(18.0) + 3 * np.log(scale), rel=1e-12)
+        assert set(report["algorithms"]) == {"swap", "curveball"}
+        for entry in report["algorithms"].values():
+            checks = entry["checks"]
+            assert checks["balance"]["passed"] and checks["balance"]["max_residual"] < 1e-12
+            assert checks["stationarity"]["passed"]
+            assert checks["stationarity"]["max_residual"] < 1e-12
+            assert checks["connectivity"] == {"components": 1, "passed": True}
+            assert checks["diameter"] == {"value": 2, "bound": 3, "passed": True}
+            assert entry["sampling_valid"] is True
 
 
 def test_verify_disconnected_space_fails_with_exit_2(tmp_path, capsys):
@@ -335,6 +350,7 @@ def test_verify_empty_space_passes_vacuously(capsys):
     assert main(["verify", "--rows", "2", "--cols", "1"]) == 0
     report = _report(capsys)
     assert report["empty_space"] is True and report["states"] == 0
+    assert report["kappa"] == 0.0 and report["log_kappa"] is None
 
 
 def test_verify_cap_refusal_exits_3(capsys):

@@ -224,11 +224,45 @@ def test_exact_probabilities_are_the_stationary_eigenvector(alternating_weights,
         assert np.allclose(pi, space.probabilities, atol=1e-10)
 
 
-def test_weight_scaling_leaves_probabilities_unchanged(alternating_weights, unit_margins):
-    space = enumerate_space(*unit_margins, alternating_weights)
-    scaled = enumerate_space(*unit_margins, WeightMatrix(alternating_weights.weights * 3.7))
-    assert np.allclose(space.probabilities, scaled.probabilities, rtol=1e-12)
-    assert scaled.kappa == pytest.approx(space.kappa * 3.7**3, rel=1e-12)
+def test_weight_scaling_leaves_probabilities_unchanged():
+    # multiplying row i by a_i and column j by b_j multiplies every state's
+    # weight by prod a_i^r_i * prod b_j^c_j: the law and the kernels stay put,
+    # and only log_kappa shifts, even where kappa leaves the float range
+    r, c = [2, 1, 2, 1], [1, 2, 1, 2]
+    base = WeightMatrix(np.random.default_rng(227).lognormal(0.0, 1.0, size=(4, 4)))
+    space = enumerate_space(r, c, base)
+    kernels = {algorithm: exact_kernel(space, algorithm) for algorithm in ("swap", "curveball")}
+    for a, b in [
+        (np.full(4, 3.7), np.ones(4)),
+        (np.array([0.5, 2.0, 7.0, 1e-3]), np.ones(4)),
+        (np.ones(4), np.array([3.0, 0.2, 1.0, 40.0])),
+        (np.full(4, 1e-170), np.ones(4)),
+        (np.ones(4), np.full(4, 1e170)),
+    ]:
+        scaled = enumerate_space(r, c, WeightMatrix(base.weights * a[:, None] * b[None, :]))
+        assert np.allclose(space.probabilities, scaled.probabilities, rtol=1e-12)
+        shift = float(np.dot(r, np.log(a)) + np.dot(c, np.log(b)))
+        assert scaled.log_kappa == pytest.approx(space.log_kappa + shift, rel=1e-12)
+        if abs(space.log_kappa + shift) < 700.0:
+            assert scaled.kappa == pytest.approx(space.kappa * np.exp(shift), rel=1e-12)
+        else:
+            assert scaled.kappa == (np.inf if shift > 0.0 else 0.0)
+        for algorithm, kernel in kernels.items():
+            assert np.allclose(exact_kernel(scaled, algorithm), kernel, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["swap", "curveball"])
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_samplers_follow_the_law_at_extreme_weight_scales(alternating_weights, unit_margins,
+                                                          algorithm, scale):
+    # products of such weights leave the float range; a sampler that forms
+    # them freezes (TV 0.94 here) instead of mixing (TV below 0.032 over 30 seeds)
+    weights = WeightMatrix(alternating_weights.weights * scale)
+    space = enumerate_space(*unit_margins, weights)
+    config = ChainConfig(algorithm=algorithm, burn_in=100, thin=10, retained=3_000,
+                         seed=1, statistics=(), keep_matrices=True)
+    trace = run_chain(BinaryMatrix.identity(3), weights, config)
+    assert empirical_distribution(trace, space).total_variation < 0.05
 
 
 def test_every_swap_move_is_also_a_curveball_move():
