@@ -90,8 +90,9 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
               chain_index: int = 0) -> Trace:
     """Run one chain from `initial`; the argument is not mutated.
 
-    The chain runs on row bitsets of its own; statistics and kept matrices
-    see a BinaryMatrix built from them at each retention instant.
+    The chain runs on a copy of the initial matrix's row bitsets; statistics
+    and kept matrices see a BinaryMatrix built from them at each retention
+    instant.
 
     The initial matrix must be compatible with the weights (no 1 on a zero
     weight).  Requesting a square-only statistic on a non-square matrix is an
@@ -105,7 +106,7 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
             raise ValueError(
                 f"statistic {stat.name!r} needs a square matrix, got {initial.m}x{initial.n}"
             )
-    rows = initial._row_bits()
+    rows = list(initial._rows)
     u = UniformStream(_chain_rng(config.seed, chain_index)).u
     if config.algorithm == "curveball":
         if initial.m < 2:
@@ -117,7 +118,8 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
                 "swap chain on a matrix with fewer than two 1s can never move",
                 stacklevel=2,
             )
-        step = swap._stepper(rows, initial.copy().ones, weights._log_rows, u)
+        # sorted: the row-major slot order of a fresh matrix, whatever steps moved `initial`
+        step = swap._stepper(rows, sorted(initial.ones), weights._log_rows, u)
 
     counts = [0, 0, 0]
     recorders = [(stat.name, stat.func, []) for stat in stat_defs]

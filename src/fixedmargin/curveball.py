@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import trunc
 
 from ._streams import UniformStream, draw_pair
-from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _RowBitsView
+from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
 
 NO_TRADE = "no-trade"
 REJECTED = "rejected"
@@ -178,9 +178,9 @@ def propose_trade(state: BinaryMatrix, weights: WeightMatrix, rng, rows=None) ->
         a, b = draw_pair(m, u)
     else:
         a, b = rows
-        if a == b:
-            raise ValueError("row pair must be distinct")
-    cand_a, cand_b = _candidates(_RowBitsView(state.entries), weights._pos_masks, a, b)
+        if not (0 <= a < m and 0 <= b < m) or a == b:
+            raise ValueError(f"row pair must be two distinct rows in 0..{m - 1}, got {rows}")
+    cand_a, cand_b = _candidates(state._rows, weights._pos_masks, a, b)
     if not cand_a or not cand_b:
         return None
     cand_i, cand_ip = _columns(cand_a), _columns(cand_b)
@@ -204,13 +204,16 @@ def curveball_step(state: BinaryMatrix, weights: WeightMatrix, rng) -> str:
     """
     if state.m < 2:
         raise ValueError("curveball needs at least two rows")
-    ones = state.ones  # read before the step moves any entry: it is built lazily
-    rows = _RowBitsView(state.entries)
+    ones = state.ones  # read before the step moves any 1: it is built lazily
+    rows = state._rows
+    before = rows.copy()
     outcome = _stepper(rows, weights._pos_masks, weights._log_rows,
                        UniformStream(rng, block=16).u)()
-    if rows.written:
-        a, b = rows.written
+    if rows != before:
+        state._entries = None
+        a, b = [i for i, (new, old) in enumerate(zip(rows, before)) if new != old]
+        moved = rows[a] ^ before[a]
         for idx, (i, j) in enumerate(ones):
-            if (i == a or i == b) and not state.entries[i, j]:
+            if (i == a or i == b) and moved >> j & 1:
                 ones[idx] = (a + b - i, j)
     return _OUTCOMES[outcome]

@@ -5,6 +5,10 @@ the product of w_ij over its 1-cells.  A weight of zero therefore forbids a 1
 in that cell (a structural zero).  This module holds the two matrix types, the
 margin/compatibility bookkeeping, the monotonicity test for zero patterns, and
 the plain-text matrix file format shared by the command line tools.
+
+A binary matrix is stored as one Python int per row whose bit j is the entry
+in column j, the form both samplers move 1s in.  This is the only module that
+converts between such row bitsets and numpy 0/1 arrays.
 """
 from __future__ import annotations
 
@@ -29,18 +33,17 @@ class CompatibilityError(ValueError):
 
 
 class BinaryMatrix:
-    """Dense 0/1 matrix with cached margins and its list of 1-cells.
+    """0/1 matrix stored as one int bitset per row; bit j of row i is entry (i, j).
 
-    `entries` is the int8 array; `ones` lists the (row, col) coordinates of
-    its 1s, in row-major order when first read.  Margins are computed once,
-    at construction.  Chains run on row bitsets of their own; only the
-    public `swap_step` and `curveball_step` mutate a BinaryMatrix, moving
-    1s in `entries` and rewriting the moved cells' slots in `ones`, so both
-    stay in step and the margins stay valid.  Treat `entries` and `ones` as
-    read-only otherwise.
+    The row bitsets are the state.  `entries`, a read-only int8 array, and
+    `ones`, the (row, col) coordinates of the 1s in row-major order, are
+    built from them on first read and cached; the margins are summed from
+    `entries`.  Only the public `swap_step` and `curveball_step` mutate a
+    BinaryMatrix: they move 1s in the bitsets, rewrite the moved cells'
+    slots in `ones` and drop the cached `entries`.
     """
 
-    __slots__ = ("entries", "m", "n", "row_sums", "col_sums", "_ones")
+    __slots__ = ("_rows", "m", "n", "_entries", "_ones")
 
     def __init__(self, entries):
         ent = np.asarray(entries)
@@ -48,11 +51,31 @@ class BinaryMatrix:
             raise ValueError(f"expected a 2-D array, got shape {ent.shape}")
         if ent.size and not ((ent == 0) | (ent == 1)).all():
             raise ValueError("binary matrix entries must be 0 or 1")
-        self.entries = np.ascontiguousarray(ent, dtype=np.int8)
-        self.m, self.n = self.entries.shape
-        self.row_sums = self.entries.sum(axis=1, dtype=np.int64)
-        self.col_sums = self.entries.sum(axis=0, dtype=np.int64)
-        self._ones = None
+        self._reset(_pack_rows(ent != 0), ent.shape[1])
+
+    def _reset(self, rows: list[int], n: int) -> None:
+        self._rows = rows
+        self.m, self.n = len(rows), n
+        self._entries = self._ones = None
+
+    @classmethod
+    def _from_row_bits(cls, rows, n: int) -> "BinaryMatrix":
+        """A matrix with n columns holding a copy of the row bitsets `rows`."""
+        state = cls.__new__(cls)
+        state._reset(list(rows), n)
+        return state
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            width = (self.n + 7) // 8
+            buf = b"".join(row.to_bytes(width, "little") for row in self._rows)
+            packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.m, width)
+            # astype, not view: a kept matrix then caches one small array, not two
+            ent = np.unpackbits(packed, axis=1, count=self.n, bitorder="little").astype(np.int8)
+            ent.setflags(write=False)
+            self._entries = ent
+        return self._entries
 
     @property
     def ones(self) -> list[tuple[int, int]]:
@@ -61,89 +84,59 @@ class BinaryMatrix:
             self._ones = list(zip(rows.tolist(), cols.tolist()))
         return self._ones
 
+    @property
+    def row_sums(self) -> np.ndarray:
+        return self.entries.sum(axis=1, dtype=np.int64)
+
+    @property
+    def col_sums(self) -> np.ndarray:
+        return self.entries.sum(axis=0, dtype=np.int64)
+
     @classmethod
     def identity(cls, n: int) -> "BinaryMatrix":
         return cls(np.eye(n, dtype=np.int8))
 
     def copy(self) -> "BinaryMatrix":
-        return BinaryMatrix(self.entries.copy())
+        return BinaryMatrix._from_row_bits(self._rows, self.n)
 
     def key(self) -> bytes:
-        """Canonical row-major bit encoding; states with equal keys are equal."""
+        """Row-major bit encoding; within one shape, equal keys mean equal matrices."""
         return np.packbits(self.entries, axis=None).tobytes()
-
-    def _row_bits(self) -> list[int]:
-        """One int per row whose bit j is the entry in column j."""
-        return list(_RowBitsView(self.entries))
-
-    @classmethod
-    def _from_row_bits(cls, rows, n: int) -> "BinaryMatrix":
-        """Inverse of `_row_bits` for a matrix with n columns."""
-        width = (n + 7) // 8
-        buf = b"".join(row.to_bytes(width, "little") for row in rows)
-        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), width)
-        return cls(np.unpackbits(packed, axis=1, count=n, bitorder="little"))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryMatrix):
             return NotImplemented
-        return self.entries.shape == other.entries.shape and np.array_equal(
-            self.entries, other.entries
-        )
+        return (self.m, self.n) == (other.m, other.n) and self._rows == other._rows
 
     def __repr__(self):
         return f"BinaryMatrix({self.m}x{self.n}, ones={len(self.ones)})"
 
     def __reduce__(self):
-        return (BinaryMatrix, (self.entries.copy(),))
+        return (BinaryMatrix, (self.entries,))
 
     def validate(self):
-        """Recount the 1-cells and margins from the entry array.
+        """Recount the 1-cells from the row bitsets.
 
-        Debug helper for tests: raises AssertionError when `ones` or the
-        margins cached at construction disagree with `entries`.
+        Debug helper for tests: raises AssertionError when the cached
+        `entries` or `ones` disagree with the bitsets.
         """
         ent = self.entries
         assert ent.shape == (self.m, self.n)
-        assert np.isin(ent, (0, 1)).all()
-        assert np.array_equal(ent.sum(axis=1), self.row_sums), "row sums drifted"
-        assert np.array_equal(ent.sum(axis=0), self.col_sums), "column sums drifted"
+        assert _pack_rows(ent) == self._rows, "entries drifted from the bitsets"
         expect = {(int(i), int(j)) for i, j in np.argwhere(ent)}
         assert len(self.ones) == len(expect) == len(set(self.ones))
         assert set(self.ones) == expect
 
 
+def _pack_rows(a: np.ndarray) -> list[int]:
+    """One int per row of a 2-D boolean or 0/1 array, bit j set where column j is nonzero."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _accept_prob(d: float) -> float:
     """w_new / (w_old + w_new) from d = log w_old - log w_new; every acceptance uses it."""
     return 0.0 if d > 700.0 else 1.0 / (1.0 + exp(d))
-
-
-class _RowBitsView:
-    """Row bitsets of an entry array, read and written in place.
-
-    Lets the samplers' bitset step functions run on a BinaryMatrix itself:
-    reading row i packs that row into an int whose bit j is column j, and
-    assigning row i unpacks the new bits into the array.  `written` lists
-    the rows assigned so far.
-    """
-
-    __slots__ = ("entries", "written")
-
-    def __init__(self, entries: np.ndarray):
-        self.entries = entries
-        self.written: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return int.from_bytes(np.packbits(self.entries[i], bitorder="little").tobytes(), "little")
-
-    def __setitem__(self, i: int, bits: int) -> None:
-        n = self.entries.shape[1]
-        packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        self.entries[i] = np.unpackbits(packed, count=n, bitorder="little")
-        self.written.append(i)
 
 
 class WeightMatrix:
@@ -171,7 +164,7 @@ class WeightMatrix:
         self.m, self.n = w.shape
         self.zero_pattern = frozenset((int(i), int(j)) for i, j in np.argwhere(w == 0.0))
         self._log_rows = [[log(x) if x > 0.0 else -inf for x in row] for row in w.tolist()]
-        self._pos_masks = list(_RowBitsView(w > 0.0))
+        self._pos_masks = _pack_rows(w > 0.0)
 
     @classmethod
     def all_ones(cls, m: int, n: int) -> "WeightMatrix":
@@ -200,8 +193,8 @@ class MonotonicReport:
 
 
 def compute_margins(matrix: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of a binary matrix, as cached at construction."""
-    return matrix.row_sums.copy(), matrix.col_sums.copy()
+    """Row and column sums of a binary matrix."""
+    return matrix.row_sums, matrix.col_sums
 
 
 def check_compatibility(matrix: BinaryMatrix, weights: WeightMatrix) -> list[tuple[int, int]]:

@@ -36,7 +36,7 @@ class EnumeratedSpace:
     `probabilities[s]` is the exact model probability of `states[s]`;
     log_kappa is the log of the normalizing constant kappa, the sum of
     cell-weight products over all states.  States are listed in a
-    deterministic row-wise order; `index_of` finds a matrix by its key.
+    deterministic row-wise order; `index_of` finds a matrix by its row bitsets.
     """
 
     row_sums: np.ndarray
@@ -45,7 +45,7 @@ class EnumeratedSpace:
     states: list[BinaryMatrix]
     probabilities: np.ndarray
     log_kappa: float
-    _index: dict[bytes, int] = field(repr=False, default_factory=dict)
+    _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -57,12 +57,14 @@ class EnumeratedSpace:
             return float(np.exp(self.log_kappa))
 
     def index_of(self, matrix: BinaryMatrix) -> int:
-        try:
-            return self._index[matrix.key()]
-        except KeyError:
+        index = None
+        if (matrix.m, matrix.n) == (self.weights.m, self.weights.n):
+            index = self._index.get(tuple(matrix._rows))
+        if index is None:
             raise StateNotInSpaceError(
                 "matrix is not a positive-probability state of this space"
-            ) from None
+            )
+        return index
 
 
 def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
@@ -91,7 +93,7 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     if m > 0 and n > 0 and r.sum() == c.sum() and (r <= n).all() and (c <= m).all():
         allowed = [_columns(mask) for mask in weights._pos_masks]
         remaining = c.tolist()
-        chosen: list[tuple[int, ...]] = []
+        chosen: list[int] = []
 
         def descend(i: int) -> None:
             if i == m:
@@ -99,10 +101,7 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
                     raise SpaceTooLargeError(
                         f"state space exceeds the cap of {cap} states"
                     )
-                ent = np.zeros((m, n), dtype=np.int8)
-                for row, cols in enumerate(chosen):
-                    ent[row, list(cols)] = 1
-                states.append(BinaryMatrix(ent))
+                states.append(BinaryMatrix._from_row_bits(chosen, n))
                 return
             rows_left_after = m - i - 1
             open_cols = [j for j in allowed[i] if remaining[j] > 0]
@@ -118,7 +117,7 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
                         ok = False
                         break
                 if ok:
-                    chosen.append(cols)
+                    chosen.append(sum(1 << j for j in cols))
                     descend(i + 1)
                     chosen.pop()
                 for j in cols:
@@ -135,7 +134,7 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     scaled = np.exp(logps - peak)
     total = scaled.sum()
     probabilities = scaled / total
-    index = {state.key(): idx for idx, state in enumerate(states)}
+    index = {tuple(state._rows): idx for idx, state in enumerate(states)}
     return EnumeratedSpace(r, c, weights, states, probabilities,
                            float(peak + np.log(total)), index)
 
@@ -175,7 +174,7 @@ def _target_index(space: EnumeratedSpace, rows, i: int, ip: int, moved: int) -> 
     target = list(rows)
     target[i] ^= moved
     target[ip] ^= moved
-    return space.index_of(BinaryMatrix._from_row_bits(target, space.weights.n))
+    return space._index[tuple(target)]
 
 
 def _fill_swap_kernel(space: EnumeratedSpace, kernel: np.ndarray) -> None:
@@ -187,7 +186,7 @@ def _fill_swap_kernel(space: EnumeratedSpace, kernel: np.ndarray) -> None:
             kernel[s, s] = 1.0
             continue
         inv_pairs = 1.0 / (k * (k - 1) // 2)
-        rows = state._row_bits()
+        rows = state._rows
         for (i, j), (ip, jp) in itertools.combinations(ones, 2):
             # a pair that is no checkerboard moves nowhere, as if always rejected
             d = _swap_weights(rows, weights._log_rows, i, j, ip, jp)
@@ -204,7 +203,7 @@ def _fill_curveball_kernel(space: EnumeratedSpace, kernel: np.ndarray) -> None:
         raise ValueError("the curveball kernel needs at least two rows")
     inv_pairs = 1.0 / (m * (m - 1) // 2)
     for s, state in enumerate(space.states):
-        rows = state._row_bits()
+        rows = state._rows
         for i, ip in itertools.combinations(range(m), 2):
             cand_a, cand_b = _candidates(rows, weights._pos_masks, i, ip)
             if not cand_a or not cand_b:
@@ -241,9 +240,9 @@ def stationarity_residual(space: EnumeratedSpace, kernel: np.ndarray) -> float:
 
 
 def _adjacency(kernel: np.ndarray) -> list[np.ndarray]:
-    off = kernel.copy()
-    np.fill_diagonal(off, 0.0)
-    return [np.flatnonzero(row > 0.0) for row in off]
+    # each state's positive-transition targets, its own self-loop left out
+    targets = (np.flatnonzero(row > 0.0) for row in kernel)
+    return [t[t != s] for s, t in enumerate(targets)]
 
 
 def connectivity(space: EnumeratedSpace, algorithm: str, kernel: np.ndarray | None = None) -> list[list[int]]:

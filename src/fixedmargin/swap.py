@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._streams import UniformStream, draw_pair
-from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _RowBitsView
+from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
 
 NO_CHECKERBOARD = "no-checkerboard"
 REJECTED = "rejected"
@@ -111,7 +111,7 @@ def propose_swap(state: BinaryMatrix, weights: WeightMatrix, rng) -> SwapProposa
     a, b = draw_pair(k, UniformStream(rng, block=2).u)
     first, second = state.ones[a], state.ones[b]
     (i, j), (ip, jp) = first, second
-    d = _swap_weights(_RowBitsView(state.entries), weights._log_rows, i, j, ip, jp)
+    d = _swap_weights(state._rows, weights._log_rows, i, j, ip, jp)
     return SwapProposal((first, second), d is not None, None if d is None else _accept_prob(d))
 
 
@@ -123,6 +123,8 @@ def swap_step(state: BinaryMatrix, weights: WeightMatrix, rng) -> str:
     fewer than two 1s can never move and every proposal reports
     "no-checkerboard".
     """
-    step = _stepper(_RowBitsView(state.entries), state.ones, weights._log_rows,
-                    UniformStream(rng, block=4).u)
-    return _OUTCOMES[step()]
+    outcome = _stepper(state._rows, state.ones, weights._log_rows,
+                       UniformStream(rng, block=4).u)()
+    if outcome == 2:
+        state._entries = None
+    return _OUTCOMES[outcome]

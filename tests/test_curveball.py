@@ -151,6 +151,13 @@ def test_propose_trade_requires_two_rows():
                       np.random.default_rng(0), rows=(1, 1))
 
 
+@pytest.mark.parametrize("rows", [(0, -1), (2, -1), (0, 3), (3, 0), (-3, 1)])
+def test_propose_trade_rejects_rows_outside_the_matrix(rows):
+    with pytest.raises(ValueError, match="distinct rows in 0..2"):
+        propose_trade(BinaryMatrix.identity(3), WeightMatrix.all_ones(3, 3),
+                      np.random.default_rng(0), rows=rows)
+
+
 # -- stepping ---------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Matrix types, margin bookkeeping, zero-pattern analysis, and the text format."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from fixedmargin import (
     apply_power,
     check_compatibility,
     compute_margins,
+    curveball_step,
     hamming_distance,
     is_monotonic,
     read_binary_matrix,
     read_weight_matrix,
     require_compatible,
+    swap_step,
     write_binary_matrix,
     write_weight_matrix,
 )
@@ -62,6 +65,48 @@ def test_identity_copy_and_key():
     assert b.entries is not a.entries
     c = ones_matrix(3, 3, [(0, 1), (1, 0), (2, 2)])
     assert a != c and a.key() != c.key()
+
+
+def test_bitset_and_entry_constructors_agree():
+    rng = np.random.default_rng(4)
+    for m, n in [(4, 9), (3, 16), (5, 1), (1, 30)]:
+        ent = (rng.random((m, n)) < 0.4).astype(np.int8)
+        rows = [int("".join(str(v) for v in row[::-1]), 2) for row in ent]
+        a = BinaryMatrix(ent)
+        b = BinaryMatrix._from_row_bits(rows, n)
+        assert np.array_equal(a.entries, ent) and np.array_equal(b.entries, ent)
+        assert a.entries.dtype == b.entries.dtype == np.int8
+        assert a.ones == b.ones == [(int(i), int(j)) for i, j in np.argwhere(ent)]
+        assert a.key() == b.key() == np.packbits(ent, axis=None).tobytes()
+        assert np.array_equal(a.row_sums, b.row_sums) and np.array_equal(a.col_sums, b.col_sums)
+        assert a == b == BinaryMatrix(ent.astype(float)) == BinaryMatrix(ent.astype(bool))
+        c = b.copy()
+        c._rows[0] ^= 1  # a copy owns its bitsets
+        assert c != b and b == a
+        assert pickle.loads(pickle.dumps(b)) == a
+        a.validate()
+        b.validate()
+
+
+def test_entries_are_read_only():
+    a = BinaryMatrix([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        a.entries[0, 1] = 1
+    assert a.entries.tolist() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("step", [swap_step, curveball_step])
+def test_steps_keep_every_view_in_step_with_the_bitsets(step):
+    rng = np.random.default_rng(8)
+    weights = WeightMatrix(rng.lognormal(0.0, 1.0, size=(6, 7)))
+    state = BinaryMatrix((rng.random((6, 7)) < 0.45).astype(np.int8))
+    for _ in range(300):
+        state.entries  # cached before the step, so a stale cache would show
+        step(state, weights, rng)
+        fresh = BinaryMatrix(state.entries.copy())
+        assert fresh == state and fresh.key() == state.key()
+        assert sorted(state.ones) == fresh.ones
+        state.validate()
 
 
 def test_zero_rows_and_columns_are_legal():

@@ -7,6 +7,7 @@ certify the samplers with machinery the samplers share.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,19 @@ def test_alternating_space_is_connected_with_diameter_two(alternating_weights, u
     assert diameter(space, "curveball") == 2
 
 
+def test_connectivity_reads_the_kernel_without_copying_it():
+    space = enumerate_space([1] * 6, [1] * 6)
+    kernel = exact_kernel(space, "swap")
+    tracemalloc.start()
+    try:
+        components = connectivity(space, "swap", kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(components) == 1
+    assert peak < kernel.nbytes / 4
+
+
 def test_forbidden_diagonal_splits_the_space(no_diagonal):
     weights, up, down = no_diagonal
     space = enumerate_space([1, 1, 1], [1, 1, 1], weights)
@@ -443,6 +457,20 @@ def test_foreign_matrix_is_rejected(no_diagonal, alternating_weights, unit_margi
     full_space = enumerate_space(*unit_margins, alternating_weights)
     with pytest.raises(StateNotInSpaceError):
         empirical_distribution(_fake_trace([BinaryMatrix.identity(4)]), full_space)
+
+
+def test_matrix_of_another_shape_is_not_in_the_space(unit_margins):
+    # the 3x4 matrix with column 0 full packs to the same key bytes as the
+    # 3x3 identity, state 0 of the unit-margin space
+    space = enumerate_space(*unit_margins)
+    wide = BinaryMatrix([[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    assert wide.key() == space.states[0].key()
+    with pytest.raises(StateNotInSpaceError):
+        space.index_of(wide)
+    with pytest.raises(StateNotInSpaceError):
+        empirical_distribution(_fake_trace([wide]), space)
+    with pytest.raises(StateNotInSpaceError):
+        min_swaps(space, wide, space.states[0])
 
 
 def test_trace_without_matrices_is_rejected(alternating_weights, unit_margins):
