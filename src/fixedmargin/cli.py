@@ -41,7 +41,7 @@ from .oracle import (
     connectivity,
     diameter,
     enumerate_space,
-    exact_kernel,
+    exact_kernel,  # noqa: F401  unused here; benchmark/tracing.py wraps cli.exact_kernel
     stationarity_residual,
 )
 from .stats import diagnose, empirical_p_value, ess, evaluate_statistic
@@ -147,7 +147,7 @@ def _resolve_margins(args):
 
 
 def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
-                        algorithm: str, strict: bool) -> tuple[list[str], bool]:
+                        strict: bool) -> tuple[list[str], bool]:
     """Warnings about non-monotonic structural zeros, plus an abort flag.
 
     A monotonic zero pattern keeps the chain irreducible, so only other
@@ -172,7 +172,10 @@ def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
             f"connectivity not checked: the state space exceeds {_AUTO_CHECK_CAP} states"
         )
     else:
-        components = connectivity(space, algorithm)
+        # Certifies both samplers: a trade of k columns is k legal swaps in
+        # sequence, and each legal swap is a one-column trade, so swap and
+        # curveball have the same components.
+        components = connectivity(space, "swap")
         if len(components) <= 1:
             certified = True
             notes.append("connectivity check passed: the space is a single component")
@@ -277,7 +280,7 @@ def cmd_sample(args) -> int:
     if not config.statistics:
         raise _UsageError("--stats must name at least one statistic")
 
-    notes, abort = _check_zero_pattern(matrix, weights, config.algorithm, args.strict)
+    notes, abort = _check_zero_pattern(matrix, weights, args.strict)
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
     if abort:
@@ -386,10 +389,9 @@ def cmd_verify(args) -> int:
     bound_applies = (not weights.zero_pattern) or is_monotonic(weights).is_monotonic
     all_passed = True
     for algorithm in algorithms:
-        kernel = exact_kernel(space, algorithm)
-        balance = balance_residual(space, kernel)
-        stationarity = stationarity_residual(space, kernel)
-        components = connectivity(space, algorithm, kernel=kernel)
+        balance = balance_residual(space, algorithm)
+        stationarity = stationarity_residual(space, algorithm)
+        components = connectivity(space, algorithm)
         connected = len(components) <= 1
         checks: dict[str, dict] = {
             "balance": {"max_residual": balance, "passed": bool(balance < tolerance)},
@@ -405,7 +407,7 @@ def cmd_verify(args) -> int:
                 "reason": "no diameter bound applies to a non-monotonic zero pattern",
             }
         else:
-            value = diameter(space, algorithm, kernel=kernel)
+            value = diameter(space, algorithm)
             bound = _max_pairwise_hamming(space) // 2
             checks["diameter"] = {"value": value, "bound": bound,
                                   "passed": bool(value <= bound)}
@@ -434,7 +436,7 @@ def cmd_nullmodel(args) -> int:
         seed=args.seed,
         statistics=(args.statistic,),
     )
-    notes, abort = _check_zero_pattern(observed, weights, config.algorithm, args.strict)
+    notes, abort = _check_zero_pattern(observed, weights, args.strict)
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
     if abort:

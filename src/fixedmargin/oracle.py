@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,7 @@ class EnumeratedSpace:
     probabilities: np.ndarray
     log_kappa: float
     _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
+    _moves: dict[str, MoveGraph] = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -152,62 +154,111 @@ def _require_algorithm(algorithm: str) -> None:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class MoveGraph:
+    """Every legal one-step move of one sampler on an enumerated space.
+
+    Move k goes from state src[k] to state dst[k] != src[k] with one-step
+    probability prob[k], and stay[s] is the probability of remaining at
+    state s.  A move is listed whenever its target is a state of the space,
+    even when its probability underflows to 0.0, so the graph's edges come
+    from move legality, not from floats.  Moves are listed source by source,
+    so src is sorted, and no (src, dst) pair repeats.  The reverse of a legal
+    move is legal, so the graph is symmetric.  The space caches its graphs,
+    so the arrays are read-only.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray
+    stay: np.ndarray
+
+    def targets(self) -> list[list[int]]:
+        """Each state's move targets, as Python lists."""
+        bounds = np.searchsorted(self.src, np.arange(len(self.stay) + 1)).tolist()
+        dst = self.dst.tolist()
+        return [dst[bounds[s]:bounds[s + 1]] for s in range(len(self.stay))]
+
+
+def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
+    """The sampler's legal moves on the space, built once per space and algorithm."""
+    _require_algorithm(algorithm)
+    graph = space._moves.get(algorithm)
+    if graph is None:
+        build = _swap_moves if algorithm == "swap" else _curveball_moves
+        columns = [np.frombuffer(column, dtype=column.typecode) for column in build(space)]
+        for column in columns:
+            column.flags.writeable = False  # every caller shares the cached graph
+        graph = space._moves[algorithm] = MoveGraph(*columns)
+    return graph
+
+
 def exact_kernel(space: EnumeratedSpace, algorithm: str) -> np.ndarray:
     """Exact one-step transition matrix of the chosen sampler on the space.
 
     Row s holds the probabilities of every possible state after one proposal
     from states[s], including the self-transition mass from no-op proposals
-    and rejections.  Rows sum to one up to float roundoff.
+    and rejections.  Rows sum to one up to float roundoff.  This is the dense
+    S x S view of `move_graph`; the oracle's own checks read the moves.
     """
-    _require_algorithm(algorithm)
-    size = len(space.states)
-    kernel = np.zeros((size, size))
-    if algorithm == "swap":
-        _fill_swap_kernel(space, kernel)
-    else:
-        _fill_curveball_kernel(space, kernel)
+    graph = move_graph(space, algorithm)
+    kernel = np.zeros((len(graph.stay), len(graph.stay)))
+    kernel[graph.src, graph.dst] = graph.prob
+    np.fill_diagonal(kernel, graph.stay)
     return kernel
 
 
-def _target_index(space: EnumeratedSpace, rows, i: int, ip: int, moved: int) -> int:
-    # index of the state reached by flipping the `moved` columns of rows i and i'
+def _target_index(space: EnumeratedSpace, rows, i: int, ip: int, moved: int) -> int | None:
+    # index of the state reached by flipping the `moved` columns of rows i
+    # and i', or None when that matrix is not a state of the space
     target = list(rows)
     target[i] ^= moved
     target[ip] ^= moved
-    return space._index[tuple(target)]
+    return space._index.get(tuple(target))
 
 
-def _fill_swap_kernel(space: EnumeratedSpace, kernel: np.ndarray) -> None:
-    weights = space.weights
+def _swap_moves(space: EnumeratedSpace):
+    log_rows = space.weights._log_rows
+    src, dst, prob, stay = array("q"), array("q"), array("d"), array("d")
     for s, state in enumerate(space.states):
-        ones = state.ones
+        rows = state._rows
+        ones = [(i, j) for i, row in enumerate(rows) for j in _columns(row)]
         k = len(ones)
         if k < 2:
-            kernel[s, s] = 1.0
+            stay.append(1.0)
             continue
         inv_pairs = 1.0 / (k * (k - 1) // 2)
-        rows = state._rows
+        mass = 0.0
         for (i, j), (ip, jp) in itertools.combinations(ones, 2):
-            # a pair that is no checkerboard moves nowhere, as if always rejected
-            d = _swap_weights(rows, weights._log_rows, i, j, ip, jp)
-            p = 0.0 if d is None else _accept_prob(d)
-            if p > 0.0:
-                kernel[s, _target_index(space, rows, i, ip, 1 << j | 1 << jp)] += inv_pairs * p
-            kernel[s, s] += inv_pairs * (1.0 - p)
+            # a pair that is no checkerboard, or whose swap lands a 1 on a
+            # zero weight, moves nowhere, as if always rejected
+            d = _swap_weights(rows, log_rows, i, j, ip, jp)
+            t = None if d is None else _target_index(space, rows, i, ip, 1 << j | 1 << jp)
+            p = 0.0
+            if t is not None:
+                p = _accept_prob(d)
+                src.append(s)
+                dst.append(t)
+                prob.append(inv_pairs * p)
+            mass += inv_pairs * (1.0 - p)
+        stay.append(mass)
+    return src, dst, prob, stay
 
 
-def _fill_curveball_kernel(space: EnumeratedSpace, kernel: np.ndarray) -> None:
+def _curveball_moves(space: EnumeratedSpace):
     weights = space.weights
     m = weights.m
     if m < 2:
         raise ValueError("the curveball kernel needs at least two rows")
     inv_pairs = 1.0 / (m * (m - 1) // 2)
+    src, dst, prob, stay = array("q"), array("q"), array("d"), array("d")
     for s, state in enumerate(space.states):
         rows = state._rows
+        mass = 0.0
         for i, ip in itertools.combinations(range(m), 2):
             cand_a, cand_b = _candidates(rows, weights._pos_masks, i, ip)
             if not cand_a or not cand_b:
-                kernel[s, s] += inv_pairs
+                mass += inv_pairs
                 continue
             cand_i = _columns(cand_a)
             pool = cand_i + _columns(cand_b)
@@ -220,114 +271,127 @@ def _fill_curveball_kernel(space: EnumeratedSpace, kernel: np.ndarray) -> None:
                 gained_ip = sorted(j for j in cand_i if j not in head_set)
                 p = _trade_prob(weights._log_rows, i, ip, gained_i, gained_ip)
                 if gained_i:
+                    # candidates carry positive weights, so the target is a state
                     moved = sum(1 << j for j in gained_i + gained_ip)
-                    kernel[s, _target_index(space, rows, i, ip, moved)] += inv_splits * p
-                    kernel[s, s] += inv_splits * (1.0 - p)
+                    src.append(s)
+                    dst.append(_target_index(space, rows, i, ip, moved))
+                    prob.append(inv_splits * p)
+                    mass += inv_splits * (1.0 - p)
                 else:
-                    kernel[s, s] += inv_splits
+                    mass += inv_splits
+        stay.append(mass)
+    return src, dst, prob, stay
 
 
-def balance_residual(space: EnumeratedSpace, kernel: np.ndarray) -> float:
+def balance_residual(space: EnumeratedSpace, algorithm: str) -> float:
     """Largest violation of detailed balance |P(s) K(s,t) - P(t) K(t,s)|."""
-    flow = space.probabilities[:, None] * kernel
-    return float(np.abs(flow - flow.T).max())
+    graph = move_graph(space, algorithm)
+    if not len(graph.src):
+        return 0.0
+    size = len(graph.stay)
+    flow = space.probabilities[graph.src] * graph.prob
+    # pair each move s -> t with its reverse t -> s, whose flow is 0 if unlisted
+    keys = graph.src * size + graph.dst
+    order = np.argsort(keys)
+    reverse = graph.dst * size + graph.src
+    at = order[np.minimum(np.searchsorted(keys[order], reverse), len(keys) - 1)]
+    back = np.where(keys[at] == reverse, flow[at], 0.0)
+    return float(np.abs(flow - back).max())
 
 
-def stationarity_residual(space: EnumeratedSpace, kernel: np.ndarray) -> float:
+def stationarity_residual(space: EnumeratedSpace, algorithm: str) -> float:
     """Sup-norm of pi K - pi for the exact probability vector pi."""
+    graph = move_graph(space, algorithm)
     pi = space.probabilities
-    return float(np.abs(pi @ kernel - pi).max())
+    pi_k = np.bincount(graph.dst, weights=pi[graph.src] * graph.prob,
+                       minlength=len(pi)) + pi * graph.stay
+    return float(np.abs(pi_k - pi).max(initial=0.0))
 
 
-def _adjacency(kernel: np.ndarray) -> list[np.ndarray]:
-    # each state's positive-transition targets, its own self-loop left out
-    targets = (np.flatnonzero(row > 0.0) for row in kernel)
-    return [t[t != s] for s, t in enumerate(targets)]
-
-
-def connectivity(space: EnumeratedSpace, algorithm: str, kernel: np.ndarray | None = None) -> list[list[int]]:
-    """Connected components of the positive-transition graph, as index lists.
+def connectivity(space: EnumeratedSpace, algorithm: str) -> list[list[int]]:
+    """Connected components of the legal-move graph, as sorted index lists.
 
     A single component means the sampler can reach every positive-probability
     state; more than one means the chain is reducible on this input and its
-    long-run frequencies depend on the starting matrix.
+    long-run frequencies depend on the starting matrix.  Swap and curveball
+    have the same components.
     """
-    if kernel is None:
-        kernel = exact_kernel(space, algorithm)
-    neighbors = _adjacency(kernel)
-    size = len(space.states)
-    seen = np.zeros(size, dtype=bool)
-    components: list[list[int]] = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        comp = []
-        while queue:
-            node = queue.pop()
-            comp.append(node)
-            for nxt in neighbors[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    queue.append(int(nxt))
-        components.append(sorted(comp))
-    return components
+    graph = move_graph(space, algorithm)
+    parent = list(range(len(graph.stay)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # the graph is symmetric, so each move joins what its reverse would
+    forward = graph.src < graph.dst
+    for s, t in zip(graph.src[forward].tolist(), graph.dst[forward].tolist()):
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            parent[max(rs, rt)] = min(rs, rt)
+    components: dict[int, list[int]] = {}
+    for s in range(len(parent)):
+        components.setdefault(find(s), []).append(s)
+    return list(components.values())
 
 
-def _bfs_distances(neighbors, start: int, size: int) -> np.ndarray:
-    dist = np.full(size, -1, dtype=np.int64)
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for node in frontier:
-            for nb in neighbors[node]:
-                if dist[nb] < 0:
-                    dist[nb] = d
-                    nxt.append(int(nb))
-        frontier = nxt
-    return dist
-
-
-def min_swaps(space: EnumeratedSpace, a, b, algorithm: str = "swap",
-              kernel: np.ndarray | None = None) -> int | None:
+def min_swaps(space: EnumeratedSpace, a, b, algorithm: str = "swap") -> int | None:
     """Fewest proposals connecting two states, or None when unreachable.
 
     `a` and `b` may be state indices or BinaryMatrix instances belonging to
-    the space.  Distances are BFS shortest paths in the positive-transition
-    graph of the chosen sampler.
+    the space.  Distances are BFS shortest paths in the legal-move graph of
+    the chosen sampler.
     """
     _require_algorithm(algorithm)
-    ia = a if isinstance(a, (int, np.integer)) else space.index_of(a)
-    ib = b if isinstance(b, (int, np.integer)) else space.index_of(b)
+    ia = int(a) if isinstance(a, (int, np.integer)) else space.index_of(a)
+    ib = int(b) if isinstance(b, (int, np.integer)) else space.index_of(b)
     if ia == ib:
         return 0
-    if kernel is None:
-        kernel = exact_kernel(space, algorithm)
-    dist = _bfs_distances(_adjacency(kernel), int(ia), len(space.states))
-    return int(dist[ib]) if dist[ib] >= 0 else None
+    targets = move_graph(space, algorithm).targets()
+    seen = {ia}
+    frontier = [ia]
+    distance = 0
+    while frontier:
+        distance += 1
+        grown = []
+        for node in frontier:
+            for t in targets[node]:
+                if t not in seen:
+                    seen.add(t)
+                    grown.append(t)
+        if ib in seen:
+            return distance
+        frontier = grown
+    return None
 
 
-def diameter(space: EnumeratedSpace, algorithm: str = "swap",
-             kernel: np.ndarray | None = None) -> int:
-    """Largest pairwise BFS distance; raises ValueError on a disconnected space."""
+def diameter(space: EnumeratedSpace, algorithm: str = "swap") -> int:
+    """Largest pairwise BFS distance; raises ValueError on a disconnected space.
+
+    All sources expand at once: reach[s] is a bitset of the states within
+    the current distance of s, and one round ORs in the sets of s's move
+    targets, until every set is full.
+    """
     _require_algorithm(algorithm)
-    if kernel is None:
-        kernel = exact_kernel(space, algorithm)
-    neighbors = _adjacency(kernel)
-    size = len(space.states)
-    if size == 0:
+    if len(space) == 0:
         raise ValueError("the space is empty")
-    worst = 0
-    for start in range(size):
-        dist = _bfs_distances(neighbors, start, size)
-        if (dist < 0).any():
+    targets = move_graph(space, algorithm).targets()
+    full = (1 << len(space)) - 1
+    reach = [1 << s for s in range(len(space))]
+    rounds = 0
+    while any(bits != full for bits in reach):
+        grown = []
+        for bits, out in zip(reach, targets):
+            for t in out:
+                bits |= reach[t]
+            grown.append(bits)
+        if grown == reach:
             raise ValueError("the space is disconnected; the diameter is undefined")
-        worst = max(worst, int(dist.max()))
-    return worst
+        reach = grown
+        rounds += 1
+    return rounds
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,15 @@ single subprocess test covers the `python -m` route.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fixedmargin
 from fixedmargin.cli import main
 from fixedmargin.matrices import read_binary_matrix
 from fixedmargin.stats import c_score
@@ -226,6 +229,48 @@ def test_sample_strict_allows_certified_connected_zeros(tmp_path, capsys):
     assert any("connectivity check passed" in note for note in report["notes"])
 
 
+def test_sample_strict_certifies_curveball_at_extreme_weight_range(tmp_path, capsys):
+    # a trade between rows 2 and 3 of the identity has acceptance
+    # probability about 1e-610, which is 0.0 in floats; it is still a legal
+    # move, so the space is one component
+    weights = np.ones((4, 4))
+    weights[0, 0] = weights[1, 1] = 0.0
+    weights[2, 2] = weights[3, 3] = 1e305
+    weights_path = _write(tmp_path / "w.txt",
+                          "\n".join(" ".join(repr(x) for x in row) for row in weights.tolist()))
+    matrix = _write(tmp_path / "m.txt", "0 1 0 0\n1 0 0 0\n0 0 1 0\n0 0 0 1\n")
+    code = main(["sample", matrix, "--weights", weights_path, "--algorithm", "curveball",
+                 "--samples", "15", "--strict", "--out", str(tmp_path / "run")])
+    assert code == 0
+    report = _report(capsys)
+    assert any("connectivity check passed" in note for note in report["notes"])
+
+
+def test_auto_check_memory_stays_bounded(tmp_path):
+    # 8x8 unit margins behind a zero diagonal: 14,833 states, whose dense
+    # kernel alone would take 1.76 GB; the certificate must stay small
+    weights = _write(tmp_path / "w.txt", "\n".join(
+        " ".join("0" if i == j else "1" for j in range(8)) for i in range(8)))
+    matrix = _write(tmp_path / "m.txt", "\n".join(
+        " ".join("1" if j == (i + 1) % 8 else "0" for j in range(8)) for i in range(8)))
+    argv = ["sample", matrix, "--weights", weights, "--samples", "10", "--strict",
+            "--out", str(tmp_path / "run")]
+    script = ("import resource, sys\n"
+              "from fixedmargin.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(fixedmargin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, max_rss_kb = proc.stdout.strip().split("\n")[-1].split()
+    assert code == "0"
+    assert "connectivity check passed" in proc.stderr
+    assert int(max_rss_kb) < 250 * 1024
+
+
 # -- enumerate ----------------------------------------------------------------
 
 
@@ -344,6 +389,22 @@ def test_verify_skips_diameter_bound_for_non_monotonic_zeros(tmp_path, capsys):
         assert entry["checks"]["diameter"]["status"] == "skipped"
         assert "monotonic" in entry["checks"]["diameter"]["reason"]
         assert entry["sampling_valid"] is True
+
+
+def test_verify_connects_the_space_at_extreme_weight_range(tmp_path, capsys):
+    # some swaps here have acceptance probability about 1e-640, 0.0 in
+    # floats; connectivity comes from legal moves, so nothing splits
+    weights = np.ones((3, 3))
+    weights[0, 0] = weights[1, 1] = 1e160
+    weights[0, 1] = weights[1, 0] = 1e-160
+    weights_path = _write(tmp_path / "w.txt",
+                          "\n".join(" ".join(repr(x) for x in row) for row in weights.tolist()))
+    code = main(["verify", "--rows", "1,1,1", "--cols", "1,1,1", "--weights", weights_path])
+    report = _report(capsys)
+    for entry in report["algorithms"].values():
+        assert entry["checks"]["connectivity"] == {"components": 1, "passed": True}
+        assert entry["sampling_valid"] is True
+    assert code == 0
 
 
 def test_verify_empty_space_passes_vacuously(capsys):

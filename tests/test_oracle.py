@@ -30,6 +30,8 @@ from fixedmargin import (
     exact_kernel,
     hamming_distance,
     min_swaps,
+    move_graph,
+    random_binary_matrix,
     run_chain,
     stationarity_residual,
     swap_step,
@@ -207,8 +209,8 @@ def test_kernel_rows_sum_to_one_and_balance_holds():
         for algorithm in ("swap", "curveball"):
             kernel = exact_kernel(space, algorithm)
             assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
-            assert balance_residual(space, kernel) < 1e-12
-            assert stationarity_residual(space, kernel) < 1e-12
+            assert balance_residual(space, algorithm) < 1e-12
+            assert stationarity_residual(space, algorithm) < 1e-12
 
 
 def test_exact_probabilities_are_the_stationary_eigenvector(alternating_weights, unit_margins):
@@ -315,17 +317,17 @@ def test_alternating_space_is_connected_with_diameter_two(alternating_weights, u
     assert diameter(space, "curveball") == 2
 
 
-def test_connectivity_reads_the_kernel_without_copying_it():
+def test_connectivity_builds_no_dense_kernel():
     space = enumerate_space([1] * 6, [1] * 6)
-    kernel = exact_kernel(space, "swap")
+    kernel_bytes = len(space) ** 2 * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
-        components = connectivity(space, "swap", kernel)
+        components = connectivity(space, "swap")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(components) == 1
-    assert peak < kernel.nbytes / 4
+    assert peak < kernel_bytes / 4
 
 
 def test_forbidden_diagonal_splits_the_space(no_diagonal):
@@ -390,6 +392,95 @@ def test_staircase_zero_spaces_meet_the_pairwise_distance_bound():
                 bound = hamming_distance(space.states[s], space.states[t]) / 2
                 assert dist[s, t] <= bound
     assert checked >= 5
+
+
+@pytest.fixture(scope="module")
+def zero_pattern_spaces():
+    """Forty seeded 4x4 and 5x5 spaces behind random zero patterns.
+
+    Weights are log-normal(0, 0.5) with about 40% of the cells zeroed; half
+    the spaces have unit margins, half the margins of a random matrix that
+    avoids the zeros.  Some of them are disconnected.
+    """
+    rng = np.random.default_rng(4242)
+    spaces = []
+    while len(spaces) < 40:
+        n = 4 + len(spaces) % 2
+        w = rng.lognormal(0.0, 0.5, size=(n, n))
+        w[rng.random((n, n)) < 0.4] = 0.0
+        weights = WeightMatrix(w)
+        margins = ([1] * n, [1] * n)
+        if len(spaces) % 4 < 2:
+            matrix = random_binary_matrix(n, n, 0.5, rng, weights=weights)
+            margins = (matrix.row_sums, matrix.col_sums)
+        space = enumerate_space(*margins, weights)
+        if len(space) >= 2:
+            spaces.append(space)
+    return spaces
+
+
+def test_move_graph_matches_the_dense_kernel(zero_pattern_spaces):
+    for space in zero_pattern_spaces:
+        for algorithm in ("swap", "curveball"):
+            graph = move_graph(space, algorithm)
+            kernel = exact_kernel(space, algorithm)
+            support = kernel > 0.0
+            np.fill_diagonal(support, False)
+            moves = np.zeros_like(support)
+            moves[graph.src, graph.dst] = True
+            assert len(graph.src) == int(moves.sum())  # no pair repeats
+            assert np.array_equal(moves, support)
+            assert np.array_equal(moves, moves.T)  # every move can be undone
+            assert np.array_equal(np.diag(kernel), graph.stay)
+            assert move_graph(space, algorithm) is graph
+            # the residuals read the moves; the dense formulas are the reference
+            flow = space.probabilities[:, None] * kernel
+            assert balance_residual(space, algorithm) == np.abs(flow - flow.T).max()
+            pi = space.probabilities
+            assert stationarity_residual(space, algorithm) == pytest.approx(
+                np.abs(pi @ kernel - pi).max(), rel=0.0, abs=1e-15)
+            assert not any(column.flags.writeable
+                           for column in (graph.src, graph.dst, graph.prob, graph.stay))
+
+
+def test_swap_and_curveball_share_their_components(zero_pattern_spaces):
+    # a trade of k columns is k legal swaps in a row, and a legal swap is a
+    # one-column trade, which is why the CLI certifies both with swap moves
+    split = 0
+    for space in zero_pattern_spaces:
+        components = connectivity(space, "swap")
+        assert components == connectivity(space, "curveball")
+        _, labels = scipy.sparse.csgraph.connected_components(exact_kernel(space, "swap") > 0.0)
+        expected = {}
+        for state, label in enumerate(labels.tolist()):
+            expected.setdefault(label, []).append(state)
+        assert components == list(expected.values())
+        split += len(components) > 1
+    assert split >= 1
+
+
+def test_diameter_and_min_swaps_match_shortest_paths(zero_pattern_spaces):
+    rng = np.random.default_rng(77)
+    for space in zero_pattern_spaces:
+        for algorithm in ("swap", "curveball"):
+            adjacency = exact_kernel(space, algorithm) > 0.0
+            np.fill_diagonal(adjacency, False)
+            dist = scipy.sparse.csgraph.shortest_path(adjacency.astype(float), unweighted=True)
+            if np.isfinite(dist).all():
+                assert diameter(space, algorithm) == int(dist.max())
+            else:
+                with pytest.raises(ValueError, match="disconnected"):
+                    diameter(space, algorithm)
+            for a, b in rng.integers(len(space), size=(10, 2)).tolist():
+                expected = int(dist[a, b]) if np.isfinite(dist[a, b]) else None
+                assert min_swaps(space, a, b, algorithm) == expected
+
+
+def test_curveball_diameter_is_smaller_on_the_two_margin_5x5_space():
+    space = enumerate_space([2] * 5, [2] * 5)
+    assert len(space) == 2040
+    assert diameter(space, "swap") == 6
+    assert diameter(space, "curveball") == 5
 
 
 def test_diameter_of_empty_space_raises():
