@@ -206,7 +206,7 @@ def with_random_zeros(weights: WeightMatrix, prob: float, rng=None) -> WeightMat
         raise ValueError("prob must be in [0, 1]")
     rng = np.random.default_rng(rng)
     keep = rng.random(size=(weights.m, weights.n)) >= prob
-    return WeightMatrix(weights.weights * keep)
+    return WeightMatrix._from_logs(np.where(keep, weights.log_weights, -np.inf))
 
 
 def with_corner_zeros(weights: WeightMatrix, fraction: float) -> WeightMatrix:
@@ -227,7 +227,7 @@ def with_corner_zeros(weights: WeightMatrix, fraction: float) -> WeightMatrix:
     while side <= m + n and (corner_depth < side).sum() < target:
         side += 1
     mask = corner_depth >= side
-    return WeightMatrix(weights.weights * mask)
+    return WeightMatrix._from_logs(np.where(mask, weights.log_weights, -np.inf))
 
 
 def random_binary_matrix(m: int, n: int, density: float, rng=None,
@@ -244,7 +244,7 @@ def random_binary_matrix(m: int, n: int, density: float, rng=None,
     if weights is not None:
         if (weights.m, weights.n) != (m, n):
             raise ValueError("weights shape does not match the requested matrix shape")
-        ent[weights.weights == 0.0] = 0
+        ent[np.isneginf(weights.log_weights)] = 0
     return BinaryMatrix(ent)
 
 

@@ -155,8 +155,6 @@ def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
     value is True when --strict is set and connectivity was not certified.
     """
     notes: list[str] = []
-    if not weights.zero_pattern:
-        return notes, False
     if is_monotonic(weights).is_monotonic:
         return notes, False
     notes.append(
@@ -386,7 +384,8 @@ def cmd_verify(args) -> int:
     # The diameter bound (diameter <= max pairwise Hamming distance / 2)
     # is only guaranteed for monotonic zero patterns; elsewhere shortest
     # paths may detour and the check would reject correct kernels.
-    bound_applies = (not weights.zero_pattern) or is_monotonic(weights).is_monotonic
+    bound_applies = is_monotonic(weights).is_monotonic
+    bound = None  # one O(S^2 mn) scan serves every algorithm, and only if one needs it
     all_passed = True
     for algorithm in algorithms:
         balance = balance_residual(space, algorithm)
@@ -408,7 +407,8 @@ def cmd_verify(args) -> int:
             }
         else:
             value = diameter(space, algorithm)
-            bound = _max_pairwise_hamming(space) // 2
+            if bound is None:
+                bound = _max_pairwise_hamming(space) // 2
             checks["diameter"] = {"value": value, "bound": bound,
                                   "passed": bool(value <= bound)}
         algorithm_passed = all(check.get("passed", True) for check in checks.values())

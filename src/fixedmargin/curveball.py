@@ -199,21 +199,13 @@ def curveball_step(state: BinaryMatrix, weights: WeightMatrix, rng) -> str:
     """Run one weighted curveball proposal, mutating `state` in place.
 
     Returns one of "no-trade", "rejected", "traded".  Identity trades count
-    as "traded".  Requires at least two rows.  Each moved 1 keeps its slot
-    in `state.ones`, with its row changed.
+    as "traded".  Requires at least two rows.  A trade drops the state's
+    cached `entries` and `ones`, so `ones` is next read in row-major order.
     """
     if state.m < 2:
         raise ValueError("curveball needs at least two rows")
-    ones = state.ones  # read before the step moves any 1: it is built lazily
-    rows = state._rows
-    before = rows.copy()
-    outcome = _stepper(rows, weights._pos_masks, weights._log_rows,
+    outcome = _stepper(state._rows, weights._pos_masks, weights._log_rows,
                        UniformStream(rng, block=16).u)()
-    if rows != before:
-        state._entries = None
-        a, b = [i for i, (new, old) in enumerate(zip(rows, before)) if new != old]
-        moved = rows[a] ^ before[a]
-        for idx, (i, j) in enumerate(ones):
-            if (i == a or i == b) and moved >> j & 1:
-                ones[idx] = (a + b - i, j)
+    if outcome == 2:
+        state._entries = state._ones = None
     return _OUTCOMES[outcome]

@@ -7,13 +7,14 @@ margin/compatibility bookkeeping, the monotonicity test for zero patterns, and
 the plain-text matrix file format shared by the command line tools.
 
 A binary matrix is stored as one Python int per row whose bit j is the entry
-in column j, the form both samplers move 1s in.  This is the only module that
-converts between such row bitsets and numpy 0/1 arrays.
+in column j; only this module converts such bitsets to and from numpy arrays.
+A weight matrix is stored as natural log-weights, -inf on structural zeros,
+and the samplers, the oracle and every zero decision read those logs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf, log
+from math import exp, inf, isfinite, log
 
 import numpy as np
 
@@ -39,8 +40,8 @@ class BinaryMatrix:
     `ones`, the (row, col) coordinates of the 1s in row-major order, are
     built from them on first read and cached; the margins are summed from
     `entries`.  Only the public `swap_step` and `curveball_step` mutate a
-    BinaryMatrix: they move 1s in the bitsets, rewrite the moved cells'
-    slots in `ones` and drop the cached `entries`.
+    BinaryMatrix: a swap rewrites its two cells' slots in `ones`, a trade
+    drops the cached `ones`, and both drop the cached `entries`.
     """
 
     __slots__ = ("_rows", "m", "n", "_entries", "_ones")
@@ -140,16 +141,15 @@ def _accept_prob(d: float) -> float:
 
 
 class WeightMatrix:
-    """Nonnegative cell weights; zero cells are structural zeros.
+    """Nonnegative cell weights, held as natural logs; zero cells are structural zeros.
 
-    The weight array is frozen after construction.  `zero_pattern` lists the
-    structurally forbidden cells as a frozenset of (row, col) pairs.  The
-    samplers and the oracle read only the natural logs, as nested lists with
-    -inf on structural zeros, and one bitmask per row of the columns with
-    positive weight; in logs, tiny and huge weights cannot under- or overflow.
+    The read-only `log_weights`, -inf on zeros, is the one representation;
+    `zero_pattern`, `_log_rows` (nested lists) and `_pos_masks` (positive
+    columns per row) derive from it.  `weights` is a record for files and
+    display only: the caller's array, or exp of the logs (maybe 0 or inf).
     """
 
-    __slots__ = ("weights", "m", "n", "zero_pattern", "_log_rows", "_pos_masks")
+    __slots__ = ("log_weights", "weights", "m", "n", "zero_pattern", "_log_rows", "_pos_masks")
 
     def __init__(self, weights):
         w = np.array(weights, dtype=np.float64)
@@ -159,12 +159,29 @@ class WeightMatrix:
             raise ValueError("weights must be finite")
         if w.size and (w < 0).any():
             raise ValueError("weights must be nonnegative")
-        w.setflags(write=False)
-        self.weights = w
-        self.m, self.n = w.shape
-        self.zero_pattern = frozenset((int(i), int(j)) for i, j in np.argwhere(w == 0.0))
-        self._log_rows = [[log(x) if x > 0.0 else -inf for x in row] for row in w.tolist()]
-        self._pos_masks = _pack_rows(w > 0.0)
+        # math.log, not np.log, which rounds the last bit of some values differently
+        logs = [[log(x) if x else -inf for x in row] for row in w.tolist()]
+        self._set_logs(np.array(logs, dtype=np.float64).reshape(w.shape), w)
+
+    @classmethod
+    def _from_logs(cls, logs, weights=None) -> "WeightMatrix":
+        """The matrix on log-weights `logs`, with `weights` (default: their exp) as record."""
+        matrix = cls.__new__(cls)
+        matrix._set_logs(np.array(logs, dtype=np.float64), weights)
+        return matrix
+
+    def _set_logs(self, logs: np.ndarray, weights: np.ndarray | None) -> None:
+        if weights is None:
+            with np.errstate(over="ignore"):
+                weights = np.exp(logs)
+        logs.setflags(write=False)
+        weights.setflags(write=False)
+        self.log_weights, self.weights = logs, weights
+        self.m, self.n = logs.shape
+        zeros = np.isneginf(logs)
+        self.zero_pattern = frozenset((int(i), int(j)) for i, j in np.argwhere(zeros))
+        self._log_rows = logs.tolist()
+        self._pos_masks = _pack_rows(~zeros)
 
     @classmethod
     def all_ones(cls, m: int, n: int) -> "WeightMatrix":
@@ -174,7 +191,7 @@ class WeightMatrix:
         return f"WeightMatrix({self.m}x{self.n}, zeros={len(self.zero_pattern)})"
 
     def __reduce__(self):
-        return (WeightMatrix, (np.array(self.weights),))
+        return (WeightMatrix._from_logs, (np.array(self.log_weights), np.array(self.weights)))
 
 
 @dataclass(frozen=True)
@@ -207,7 +224,7 @@ def check_compatibility(matrix: BinaryMatrix, weights: WeightMatrix) -> list[tup
         raise ValueError(
             f"matrix is {matrix.m}x{matrix.n} but weights are {weights.m}x{weights.n}"
         )
-    bad = np.argwhere((matrix.entries == 1) & (weights.weights == 0.0))
+    bad = np.argwhere((matrix.entries == 1) & np.isneginf(weights.log_weights))
     return [(int(i), int(j)) for i, j in bad]
 
 
@@ -227,27 +244,25 @@ def hamming_distance(a: BinaryMatrix, b: BinaryMatrix) -> int:
 def apply_power(weights: WeightMatrix, power: float) -> WeightMatrix:
     """Raise every weight to `power`, sharpening or flattening the model.
 
+    The log-weights are multiplied by `power`, so tiny weights stay positive.
     Power 0 returns an all-ones matrix (the uniform model), erasing any
     structural zeros.  Positive powers keep the zero pattern.  A negative
     power on a matrix with zeros is an error since it would send those cells
-    to infinity.
+    to infinity; so is a power that is not finite, or one under which a sum
+    of 2mn logs, which bounds every state's log-weight and log-odds, overflows.
     """
+    power = float(power)
+    if not isfinite(power):
+        raise ValueError(f"weight power must be finite, got {power}")
     if power == 0:
         return WeightMatrix.all_ones(weights.m, weights.n)
     if power < 0 and weights.zero_pattern:
         raise ValueError("negative power is undefined on zero weights")
-    return WeightMatrix(np.power(weights.weights, power))
-
-
-def _is_staircase(mask: np.ndarray, prefix_lengths) -> bool:
-    # mask rows must be zero-prefixes of the stated lengths, nothing else
-    for i, z in enumerate(prefix_lengths):
-        row = mask[i]
-        if not row[:z].all():
-            return False
-        if row[z:].any():
-            return False
-    return True
+    logs = weights.log_weights
+    largest = float(np.max(np.abs(logs), where=np.isfinite(logs), initial=0.0))
+    if not isfinite(abs(power) * largest * (2 * weights.m * weights.n)):
+        raise ValueError(f"weight power {power} overflows the sums of the log-weights")
+    return WeightMatrix._from_logs(power * logs)
 
 
 def is_monotonic(weights: WeightMatrix) -> MonotonicReport:
@@ -263,13 +278,14 @@ def is_monotonic(weights: WeightMatrix) -> MonotonicReport:
     """
     if not weights.zero_pattern:
         return MonotonicReport(True, tuple(range(weights.m)), tuple(range(weights.n)))
-    mask = weights.weights == 0.0
+    mask = np.isneginf(weights.log_weights)
     row_counts = mask.sum(axis=1)
     col_counts = mask.sum(axis=0)
     row_order = np.argsort(-row_counts, kind="stable")
     col_order = np.argsort(-col_counts, kind="stable")
     arranged = mask[np.ix_(row_order, col_order)]
-    if _is_staircase(arranged, row_counts[row_order]):
+    # a staircase: each row's zeros are exactly a prefix as long as its count
+    if np.array_equal(arranged, np.arange(weights.n) < row_counts[row_order][:, None]):
         return MonotonicReport(True, tuple(int(i) for i in row_order), tuple(int(j) for j in col_order))
     return MonotonicReport(False, None, None)
 

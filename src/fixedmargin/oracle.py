@@ -130,8 +130,7 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     if not states:
         return EnumeratedSpace(r, c, weights, [], np.zeros(0), -math.inf, {})
 
-    logw = np.array(weights._log_rows)
-    logps = np.array([float(logw[state.entries == 1].sum()) for state in states])
+    logps = np.array([float(weights.log_weights[state.entries == 1].sum()) for state in states])
     peak = logps.max()
     scaled = np.exp(logps - peak)
     total = scaled.sum()

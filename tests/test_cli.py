@@ -407,6 +407,19 @@ def test_verify_connects_the_space_at_extreme_weight_range(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_computes_the_hamming_bound_once(monkeypatch, toy_files, capsys):
+    calls = []
+    original = fixedmargin.cli._max_pairwise_hamming
+    monkeypatch.setattr(fixedmargin.cli, "_max_pairwise_hamming",
+                        lambda space: calls.append(space) or original(space))
+    matrix, weights = toy_files
+    assert main(["verify", matrix, "--weights", weights, "--algorithm", "both"]) == 0
+    report = _report(capsys)
+    assert len(calls) == 1
+    for entry in report["algorithms"].values():
+        assert entry["checks"]["diameter"]["bound"] == 3
+
+
 def test_verify_empty_space_passes_vacuously(capsys):
     assert main(["verify", "--rows", "2", "--cols", "1"]) == 0
     report = _report(capsys)
@@ -481,6 +494,57 @@ def test_nullmodel_rerun_is_byte_identical(tmp_path, toy_files, capsys):
     capsys.readouterr()
     assert ((tmp_path / "a" / "null-c-score.csv").read_bytes()
             == (tmp_path / "b" / "null-c-score.csv").read_bytes())
+
+
+# -- weight powers ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("power", ["inf", "-inf", "nan", "1e308"])
+def test_weight_power_that_is_not_finite_or_overflows_exits_1(toy_files, capsys, power):
+    # 1e308 * log 2 is finite, but a sum of four such logs is not
+    _, weights = toy_files
+    code = main(["enumerate", "--rows", "1,1,1", "--cols", "1,1,1", "--weights", weights,
+                 f"--weight-power={power}"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and "weight power" in err
+
+
+def test_weight_power_keeps_a_tiny_weight_positive(tmp_path, capsys):
+    # 1e-10 ** 40 underflows in linear space; in logs the cell stays a legal 1
+    tiny = _write(tmp_path / "w.txt", "1e-10 1 1\n1 1 1\n1 1 1\n")
+    assert main(["enumerate", "--rows", "1,1,1", "--cols", "1,1,1", "--weights", tiny,
+                 "--weight-power", "40"]) == 0
+    comments, _, rows = _csv_parts(capsys.readouterr().out)
+    assert "# states: 6" in comments and len(rows) == 6
+    identity = _write(tmp_path / "m.txt", TOY_MATRIX)
+    assert main(["nullmodel", identity, "--weights", tiny, "--weight-power", "40",
+                 "--burn-in", "10", "--thin", "2", "--samples", "20",
+                 "--out", str(tmp_path / "null")]) == 0
+    capsys.readouterr()
+
+
+def test_weight_power_on_huge_weights_verifies_like_the_unscaled_law(tmp_path, toy_files,
+                                                                     capsys):
+    # scaling every weight by 1e170 leaves the law unchanged; squaring 2e170
+    # in linear space would overflow
+    matrix, weights = toy_files
+    huge = _write(tmp_path / "w-huge.txt", "\n".join(
+        " ".join(repr(float(w) * 1e170) for w in row.split()) for row in TOY_WEIGHTS.splitlines()))
+    reports = []
+    for path in (weights, huge):
+        assert main(["verify", matrix, "--weights", path, "--weight-power", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert "RuntimeWarning" not in err
+        reports.append(json.loads(out))
+
+    def shape(report):
+        return (report["states"], report["passed"],
+                {name: (entry["checks"]["connectivity"], entry["checks"]["diameter"])
+                 for name, entry in report["algorithms"].items()})
+
+    assert shape(reports[1]) == shape(reports[0])
+    assert reports[0]["states"] == 6 and reports[0]["passed"] is True
 
 
 # -- entry points and dispatch ------------------------------------------------

@@ -83,6 +83,6 @@ def test_public_step_functions_are_pinned():
         h.update(repr((propose_swap(state, weights, rng),
                        propose_trade(state, weights, rng))).encode())
     state.validate()
-    assert hashlib.sha256(" ".join(outcomes).encode()).hexdigest()[:16] == "86d7970fda920ca9"
+    assert hashlib.sha256(" ".join(outcomes).encode()).hexdigest()[:16] == "c68723fce06c4719"
     # h also hashes the reported acceptance floats, so it pins their last bits
-    assert h.hexdigest()[:16] == "bf6abd2bad94b20c"
+    assert h.hexdigest()[:16] == "ae6e1dd6090e7acb"

@@ -179,6 +179,27 @@ def test_apply_power_cases():
         apply_power(WeightMatrix([[0.0, 3.0]]), -2.0)
 
 
+def test_apply_power_scales_the_logs_and_zeros_are_the_neg_inf_cells():
+    rng = np.random.default_rng(53)
+    w = rng.lognormal(0.0, 3.0, size=(4, 5))
+    w[0, 1] = w[2, 3] = 0.0
+    w[1, 1] = 1e-300
+    base = WeightMatrix(w)
+    for power in (2.0, 0.37, 40.0):
+        powered = apply_power(base, power)
+        assert np.array_equal(powered.log_weights, power * base.log_weights)
+        assert np.isfinite(powered.log_weights[1, 1])  # 1e-300 ** 40 stays positive
+    from_logs = WeightMatrix._from_logs(base.log_weights)
+    for matrix in (base, powered, from_logs):
+        cells = {(int(i), int(j)) for i, j in np.argwhere(np.isneginf(matrix.log_weights))}
+        assert matrix.zero_pattern == cells == {(0, 1), (2, 3)}
+        again = pickle.loads(pickle.dumps(matrix))
+        assert np.array_equal(again.log_weights, matrix.log_weights)
+        assert np.array_equal(again.weights, matrix.weights)
+        assert again._log_rows == matrix._log_rows and again._pos_masks == matrix._pos_masks
+    assert np.array_equal(base.weights, w)  # the caller's linear record is kept as given
+
+
 # -- zero-pattern monotonicity ---------------------------------------------------
 
 
