@@ -1,4 +1,5 @@
-"""Golden same-seed pins: counters and retained states of seeded runs.
+"""Golden same-seed pins: counters and retained states of seeded runs, and
+the bytes the CLI writes.
 
 These values were recorded from the reference implementation.  Any change
 to the random stream, to the outcome of a single proposal, or to what is
@@ -86,3 +87,64 @@ def test_public_step_functions_are_pinned():
     assert hashlib.sha256(" ".join(outcomes).encode()).hexdigest()[:16] == "c68723fce06c4719"
     # h also hashes the reported acceptance floats, so it pins their last bits
     assert h.hexdigest()[:16] == "ae6e1dd6090e7acb"
+
+
+# -- CLI bytes ----------------------------------------------------------------
+
+# Zeros at (0,0) and (1,1) are not monotonic under any row/column order, yet
+# the space they leave is one component, so `sample` prints and reports the
+# automatic connectivity certificate.
+ZERO_PAIR_WEIGHTS = "0 1 2 1\n2 0 1 3\n1 2 1 0.5\n3 1 0.5 2\n"
+ZERO_PAIR_MATRIX = "0 1 1 0\n1 0 0 1\n1 1 0 0\n0 0 1 1\n"
+NO_DIAGONAL_WEIGHTS = "0 1 1\n1 0 1\n1 1 0\n"
+CYCLE_MATRIX = "0 1 0\n0 0 1\n1 0 0\n"
+
+
+def _cli_digest(tmp_path, capsys, argv, inputs) -> tuple[int, str]:
+    """Exit code and a digest of stdout, stderr and every file under out/.
+
+    `inputs` maps file names to the text written into tmp_path before the
+    run; "{tmp}" in argv stands for tmp_path, and tmp_path is masked in all
+    output, so the digest does not depend on where the test runs.
+    """
+    from fixedmargin.cli import main
+
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    captured = capsys.readouterr()
+    h = hashlib.sha256()
+
+    def update(text: str) -> None:
+        h.update(text.replace(str(tmp_path), "<tmp>").encode())
+        h.update(b"\0")
+
+    update(captured.out)
+    update(captured.err)
+    out = tmp_path / "out"
+    for path in sorted(out.rglob("*")) if out.exists() else []:
+        update(path.relative_to(out).as_posix())
+        update(path.read_text(encoding="utf-8"))
+    return code, h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv, inputs, expected", [
+    (["sample", "{tmp}/m.txt", "--weights", "{tmp}/w.txt", "--algorithm", "curveball",
+      "--chains", "2", "--burn-in", "20", "--thin", "3", "--samples", "12", "--seed", "5",
+      "--stats", "diag-divergence,c-score", "--keep-matrices", "--out", "{tmp}/out"],
+     {"m.txt": ZERO_PAIR_MATRIX, "w.txt": ZERO_PAIR_WEIGHTS}, (0, "bf69800bae581a58")),
+    (["nullmodel", "{tmp}/m.txt", "--weights", "{tmp}/w.txt", "--algorithm", "swap",
+      "--burn-in", "50", "--thin", "4", "--samples", "120", "--seed", "3",
+      "--out", "{tmp}/out"],
+     {"m.txt": ZERO_PAIR_MATRIX, "w.txt": ZERO_PAIR_WEIGHTS}, (0, "52b40578c6ff4ab1")),
+    (["nullmodel", "{tmp}/m.txt", "--weights", "{tmp}/w.txt", "--samples", "15",
+      "--strict", "--out", "{tmp}/out"],
+     {"m.txt": CYCLE_MATRIX, "w.txt": NO_DIAGONAL_WEIGHTS}, (2, "7bcc2cedcd5c7ce0")),
+    (["verify", "--rows", "1,1,1", "--cols", "1,1,1", "--weights", "{tmp}/w.txt"],
+     {"w.txt": "1 2 1\n2 1 2\n1 2 1\n"}, (0, "09cb28bb32acce4d")),
+    (["enumerate", "--rows", "1,1,1", "--cols", "1,1,1", "--weights", "{tmp}/w.txt"],
+     {"w.txt": "1 2 1\n2 1 2\n1 2 1\n"}, (0, "7c33852908b81f0a")),
+], ids=["sample-kept-certified", "nullmodel", "nullmodel-strict", "verify", "enumerate"])
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, argv, inputs, expected):
+    assert _cli_digest(tmp_path, capsys, argv, inputs) == expected
