@@ -9,6 +9,7 @@ independent of how many chains run or whether they run in parallel.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -162,13 +163,15 @@ def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConf
     """Run independent chains 0..n_chains-1 of the same config.
 
     Chains differ only in their seed derivation, so the result is identical
-    whether they run serially or across `n_jobs` worker processes.
+    whether they run serially or across worker processes.  At most `n_jobs`
+    workers start, and never more than there are chains or CPUs.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
     jobs = [(initial, weights, config, index) for index in range(n_chains)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, n_chains, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_indexed, jobs))
     return [_run_indexed(job) for job in jobs]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,37 +64,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(message)
-
-
-@dataclass
-class RunReport:
-    """JSON-ready account of one CLI run.
-
-    `chains` holds one entry per chain with its counters, per-statistic
-    summaries (mean, sd, ess, mcse) and file paths; `files` repeats every
-    path the run wrote so callers can existence-check them in one place.
-    """
-
-    command: str
-    config: dict
-    matrix: dict
-    chains: list
-    files: list
-    notes: list = field(default_factory=list)
-    result: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "config": self.config,
-            "matrix": self.matrix,
-            "chains": self.chains,
-            "files": self.files,
-            "notes": self.notes,
-        }
-        if self.result is not None:
-            out["result"] = self.result
-        return out
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -148,11 +117,12 @@ def _resolve_margins(args):
 
 def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
                         strict: bool) -> tuple[list[str], bool]:
-    """Warnings about non-monotonic structural zeros, plus an abort flag.
+    """Notes on non-monotonic structural zeros, printed as warnings, plus an abort flag.
 
     A monotonic zero pattern keeps the chain irreducible, so only other
     patterns trigger the automatic connectivity check.  The second return
-    value is True when --strict is set and connectivity was not certified.
+    value is True, and an error is printed, when --strict is set and
+    connectivity was not certified.
     """
     notes: list[str] = []
     if is_monotonic(weights).is_monotonic:
@@ -182,7 +152,12 @@ def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
                 f"connectivity check failed: {len(components)} components; "
                 "sampling cannot reach every state and results would be biased"
             )
-    return notes, strict and not certified
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    abort = strict and not certified
+    if abort:
+        print("error: connectivity was not certified and --strict is set", file=sys.stderr)
+    return notes, abort
 
 
 def _trace_summary(values: np.ndarray) -> dict:
@@ -227,14 +202,34 @@ def _write_trace_csv(path: Path, matrix: BinaryMatrix, trace: Trace,
             fh.write(",".join([str(iteration)] + cells) + "\n")
 
 
-def _matrix_echo(matrix: BinaryMatrix) -> dict:
-    return {
-        "rows": matrix.m,
-        "cols": matrix.n,
-        "ones": int(matrix.row_sums.sum()),
-        "row_sums": [int(v) for v in matrix.row_sums],
-        "col_sums": [int(v) for v in matrix.col_sums],
+def _print_report(command: str, config: dict, matrix: BinaryMatrix, chains: list,
+                  notes: list, result: dict | None = None) -> int:
+    """Print the JSON report of `sample` or `nullmodel`; return EXIT_OK.
+
+    `chains` holds one entry per chain with its counters, per-statistic
+    summaries (mean, sd, ess, mcse) and file paths; the report's `files`
+    repeats every path the run wrote so callers can existence-check them
+    in one place.
+    """
+    report = {
+        "command": command,
+        "config": config,
+        "matrix": {
+            "rows": matrix.m,
+            "cols": matrix.n,
+            "ones": int(matrix.row_sums.sum()),
+            "row_sums": [int(v) for v in matrix.row_sums],
+            "col_sums": [int(v) for v in matrix.col_sums],
+        },
+        "chains": chains,
+        "files": [path for entry in chains
+                  for path in [entry["trace_file"], *entry.get("matrix_files", [])]],
+        "notes": notes,
     }
+    if result is not None:
+        report["result"] = result
+    print(json.dumps(report, indent=2))
+    return EXIT_OK
 
 
 def _chain_entry(trace: Trace, trace_file: Path,
@@ -279,22 +274,17 @@ def cmd_sample(args) -> int:
         raise _UsageError("--stats must name at least one statistic")
 
     notes, abort = _check_zero_pattern(matrix, weights, args.strict)
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
     if abort:
-        print("error: connectivity was not certified and --strict is set", file=sys.stderr)
         return EXIT_VERIFICATION
 
     traces = run_ensemble(matrix, weights, config, n_chains=args.chains, n_jobs=args.jobs)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
     chain_entries = []
     for trace in traces:
         csv_path = out_dir / f"chain-{trace.chain_index:03d}.csv"
         _write_trace_csv(csv_path, matrix, trace)
-        files.append(str(csv_path))
         matrix_files: list[str] | None = None
         if config.keep_matrices:
             matrix_files = []
@@ -305,32 +295,13 @@ def cmd_sample(args) -> int:
                     header=f"chain {trace.chain_index} retained sample {row}",
                 )
                 matrix_files.append(str(state_path))
-            files.extend(matrix_files)
         chain_entries.append(_chain_entry(trace, csv_path, matrix_files))
 
-    report = RunReport(
-        command="sample",
-        config={
-            "algorithm": config.algorithm,
-            "burn_in": config.burn_in,
-            "thin": config.thin,
-            "retained": config.retained,
-            "seed": config.seed,
-            "statistics": list(config.statistics),
-            "keep_matrices": config.keep_matrices,
-            "chains": args.chains,
-            "jobs": args.jobs,
-            "weights": args.weights,
-            "weight_power": args.weight_power,
-            "out": str(out_dir),
-        },
-        matrix=_matrix_echo(matrix),
-        chains=chain_entries,
-        files=files,
-        notes=notes,
-    )
-    print(json.dumps(report.as_dict(), indent=2))
-    return EXIT_OK
+    # ChainConfig's fields are the first keys, in order; the tuple of
+    # statistics serialises as the same JSON list
+    echo = {**asdict(config), "chains": args.chains, "jobs": args.jobs,
+            "weights": args.weights, "weight_power": args.weight_power, "out": str(out_dir)}
+    return _print_report("sample", echo, matrix, chain_entries, notes)
 
 
 def cmd_enumerate(args) -> int:
@@ -362,7 +333,6 @@ def cmd_verify(args) -> int:
     row_sums, col_sums, weights = _resolve_margins(args)
     space = enumerate_space(row_sums, col_sums, weights, cap=args.cap)
     algorithms = ["swap", "curveball"] if args.algorithm == "both" else [args.algorithm]
-    tolerance = args.tolerance
     report = {
         "command": "verify",
         "rows": row_sums,
@@ -371,15 +341,13 @@ def cmd_verify(args) -> int:
         # JSON has no inf or nan; an unrepresentable kappa is null
         "log_kappa": space.log_kappa if np.isfinite(space.log_kappa) else None,
         "kappa": space.kappa if np.isfinite(space.kappa) else None,
-        "tolerance": tolerance,
+        "tolerance": args.tolerance,
         "algorithms": {},
     }
     if len(space) == 0:
         # Infeasible margins: nothing to verify, and nothing wrong either.
         report["empty_space"] = True
-        report["passed"] = True
-        print(json.dumps(report, indent=2))
-        return EXIT_OK
+        algorithms = []
 
     # The diameter bound (diameter <= max pairwise Hamming distance / 2)
     # is only guaranteed for monotonic zero patterns; elsewhere shortest
@@ -393,9 +361,9 @@ def cmd_verify(args) -> int:
         components = connectivity(space, algorithm)
         connected = len(components) <= 1
         checks: dict[str, dict] = {
-            "balance": {"max_residual": balance, "passed": bool(balance < tolerance)},
+            "balance": {"max_residual": balance, "passed": bool(balance < args.tolerance)},
             "stationarity": {"max_residual": stationarity,
-                             "passed": bool(stationarity < tolerance)},
+                             "passed": bool(stationarity < args.tolerance)},
             "connectivity": {"components": len(components), "passed": connected},
         }
         if not connected:
@@ -437,10 +405,7 @@ def cmd_nullmodel(args) -> int:
         statistics=(args.statistic,),
     )
     notes, abort = _check_zero_pattern(observed, weights, args.strict)
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
     if abort:
-        print("error: connectivity was not certified and --strict is set", file=sys.stderr)
         return EXIT_VERIFICATION
 
     trace = run_chain(observed, weights, config)
@@ -452,34 +417,27 @@ def cmd_nullmodel(args) -> int:
     csv_path = out_dir / f"null-{args.statistic}.csv"
     _write_trace_csv(csv_path, observed, trace, kind="nullmodel")
 
-    report = RunReport(
-        command="nullmodel",
-        config={
-            "algorithm": config.algorithm,
-            "burn_in": config.burn_in,
-            "thin": config.thin,
-            "retained": config.retained,
-            "seed": config.seed,
-            "statistic": args.statistic,
-            "tail": args.tail,
-            "weights": args.weights,
-            "weight_power": args.weight_power,
-            "out": str(out_dir),
-        },
-        matrix=_matrix_echo(observed),
-        chains=[_chain_entry(trace, csv_path)],
-        files=[str(csv_path)],
-        notes=notes,
-        result={
-            "statistic": args.statistic,
-            "observed": float(observed_value),
-            "tail": args.tail,
-            "p_value": float(p_value),
-            "n_null": int(null_values.size),
-        },
-    )
-    print(json.dumps(report.as_dict(), indent=2))
-    return EXIT_OK
+    echo = {
+        "algorithm": config.algorithm,
+        "burn_in": config.burn_in,
+        "thin": config.thin,
+        "retained": config.retained,
+        "seed": config.seed,
+        "statistic": args.statistic,
+        "tail": args.tail,
+        "weights": args.weights,
+        "weight_power": args.weight_power,
+        "out": str(out_dir),
+    }
+    result = {
+        "statistic": args.statistic,
+        "observed": float(observed_value),
+        "tail": args.tail,
+        "p_value": float(p_value),
+        "n_null": int(null_values.size),
+    }
+    return _print_report("nullmodel", echo, observed, [_chain_entry(trace, csv_path)],
+                         notes, result)
 
 
 # -- parser -------------------------------------------------------------------
@@ -572,16 +530,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
-            print("error: a command is required", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError("a command is required")
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except SpaceTooLargeError as exc:
+    except (CompatibilityError, SpaceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (MatrixFormatError, OSError, ValueError) as exc:
@@ -590,8 +544,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

@@ -359,9 +359,18 @@ def write_binary_matrix(matrix: BinaryMatrix, path, header: str | None = None) -
 
 
 def write_weight_matrix(weights: WeightMatrix, path, header: str | None = None) -> None:
+    """Write the linear weights; refuse a positive weight that is 0.0 or inf as a float."""
+    linear = weights.weights
+    lost = ~np.isfinite(linear) | ((linear == 0) & (weights.log_weights > -np.inf))
+    if lost.any():
+        i, j = np.argwhere(lost)[0]
+        raise ValueError(
+            f"weight ({i}, {j}) has log {float(weights.log_weights[i, j])!r}, "
+            "outside the range a file of linear weights can hold"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             for line in header.splitlines():
                 fh.write(f"# {line}\n")
-        for row in weights.weights:
+        for row in linear:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")

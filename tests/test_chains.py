@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fixedmargin import chains
 from fixedmargin import (
     BinaryMatrix,
     ChainConfig,
@@ -197,6 +198,43 @@ def test_parallel_and_serial_ensembles_agree(alternating_weights):
         assert a.chain_index == b.chain_index
         assert np.array_equal(a.values["diag-divergence"], b.values["diag-divergence"])
         assert a.counters == b.counters
+
+
+@pytest.mark.parametrize("n_chains, n_jobs, cpus, workers", [
+    (1, 4, 8, None),      # one chain runs serially, whatever --jobs says
+    (3, 100, 8, 3),       # no more workers than chains
+    (5, 100, 2, 2),       # no more workers than CPUs
+    (5, 4, None, None),   # an unknown CPU count counts as one
+])
+def test_ensemble_caps_its_worker_processes(monkeypatch, alternating_weights,
+                                            n_chains, n_jobs, cpus, workers):
+    started = []
+
+    class FakePool:
+        # records the pool size and maps in process, so no worker ever starts
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(chains, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(chains.os, "cpu_count", lambda: cpus)
+    config = ChainConfig(burn_in=5, thin=2, retained=10, seed=3)
+    traces = run_ensemble(BinaryMatrix.identity(3), alternating_weights, config,
+                          n_chains, n_jobs=n_jobs)
+    assert started == ([] if workers is None else [workers])
+    serial = [run_chain(BinaryMatrix.identity(3), alternating_weights, config, chain_index=i)
+              for i in range(n_chains)]
+    for a, b in zip(traces, serial, strict=True):
+        assert a.counters == b.counters
+        assert np.array_equal(a.values["diag-divergence"], b.values["diag-divergence"])
 
 
 def test_ensemble_chains_differ_from_each_other(alternating_weights):

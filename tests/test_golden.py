@@ -22,6 +22,7 @@ from fixedmargin import (
     swap_step,
 )
 from fixedmargin.chains import ChainConfig, preset_weights, random_binary_matrix, run_chain
+from fixedmargin.cli import main
 
 TOY_WEIGHTS = [[1.0, 2.0, 1.0], [2.0, 1.0, 2.0], [1.0, 2.0, 1.0]]
 
@@ -107,8 +108,6 @@ def _cli_digest(tmp_path, capsys, argv, inputs) -> tuple[int, str]:
     run; "{tmp}" in argv stands for tmp_path, and tmp_path is masked in all
     output, so the digest does not depend on where the test runs.
     """
-    from fixedmargin.cli import main
-
     for name, text in inputs.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     capsys.readouterr()

@@ -311,6 +311,20 @@ def test_weight_matrix_round_trip_is_exact(tmp_path):
     assert np.array_equal(again.weights, w.weights)  # repr round-trips floats
 
 
+def test_weight_matrix_writer_refuses_weights_outside_the_float_range(tmp_path):
+    # at power 40, 1e-10 and 1e10 become 1e-400 and 1e400: positive and
+    # finite as logs, but 0.0 and inf as floats
+    w = apply_power(WeightMatrix([[1e-10, 1.0], [1.0, 1e10]]), 40)
+    path = tmp_path / "w.txt"
+    with pytest.raises(ValueError, match=r"weight \(0, 0\)"):
+        write_weight_matrix(w, path)
+    assert not path.exists()
+    w = apply_power(WeightMatrix([[1.0, 1.0], [1.0, 1e10]]), 40)
+    with pytest.raises(ValueError, match=r"weight \(1, 1\)"):
+        write_weight_matrix(w, path)
+    assert not path.exists()
+
+
 def test_reader_skips_comments_and_blank_lines(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("# a comment\n\n1 0\n# another\n0 1\n\n")
