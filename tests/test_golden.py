@@ -1,5 +1,5 @@
-"""Golden same-seed pins: counters and retained states of seeded runs, and
-the bytes the CLI writes.
+"""Golden same-seed pins: counters and retained states of seeded runs, the
+bytes the CLI writes, and the oracle's move graphs, components and distances.
 
 These values were recorded from the reference implementation.  Any change
 to the random stream, to the outcome of a single proposal, or to what is
@@ -23,6 +23,7 @@ from fixedmargin import (
 )
 from fixedmargin.chains import ChainConfig, preset_weights, random_binary_matrix, run_chain
 from fixedmargin.cli import main
+from fixedmargin.oracle import connectivity, diameter, enumerate_space, min_swaps, move_graph
 
 TOY_WEIGHTS = [[1.0, 2.0, 1.0], [2.0, 1.0, 2.0], [1.0, 2.0, 1.0]]
 
@@ -147,3 +148,65 @@ def _cli_digest(tmp_path, capsys, argv, inputs) -> tuple[int, str]:
 ], ids=["sample-kept-certified", "nullmodel", "nullmodel-strict", "verify", "enumerate"])
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, argv, inputs, expected):
     assert _cli_digest(tmp_path, capsys, argv, inputs) == expected
+
+
+# -- oracle -------------------------------------------------------------------
+
+
+def _zero_pattern_spaces(count: int) -> list:
+    # the recipe of tests/test_oracle.py's zero_pattern_spaces fixture: seeded
+    # 4x4 and 5x5 spaces behind random zero patterns, some disconnected
+    rng = np.random.default_rng(4242)
+    spaces = []
+    while len(spaces) < count:
+        n = 4 + len(spaces) % 2
+        w = rng.lognormal(0.0, 0.5, size=(n, n))
+        w[rng.random((n, n)) < 0.4] = 0.0
+        weights = WeightMatrix(w)
+        margins = ([1] * n, [1] * n)
+        if len(spaces) % 4 < 2:
+            matrix = random_binary_matrix(n, n, 0.5, rng, weights=weights)
+            margins = (matrix.row_sums, matrix.col_sums)
+        space = enumerate_space(*margins, weights)
+        if len(space) >= 2:
+            spaces.append(space)
+    return spaces
+
+
+ORACLE_SPACES = {
+    "toy": lambda: [enumerate_space([1, 1, 1], [1, 1, 1], WeightMatrix(TOY_WEIGHTS))],
+    "zero-patterns": lambda: _zero_pattern_spaces(10) + [
+        enumerate_space([1] * 3, [1] * 3, WeightMatrix(1.0 - np.eye(3)))],
+    "two-margin-5x5": lambda: [enumerate_space([2] * 5, [2] * 5)],
+}
+
+
+def _oracle_digest(spaces, algorithm) -> tuple[int, str]:
+    """Split spaces and a digest of the moves, components and distances."""
+    h = hashlib.sha256()
+    split = 0
+    for space in spaces:
+        graph = move_graph(space, algorithm)
+        for column in (graph.src, graph.dst, graph.prob, graph.stay):
+            h.update(column.tobytes())
+        components = connectivity(space, algorithm)
+        h.update(repr(components).encode())
+        split += len(components) > 1
+        if len(components) == 1:
+            h.update(repr(diameter(space, algorithm)).encode())
+        size = len(space)
+        for a, b in [(0, size - 1), (0, size // 2), (size // 3, 2 * size // 3), (1, 1)]:
+            h.update(repr(min_swaps(space, a, b, algorithm)).encode())
+    return split, h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, algorithm, expected", [
+    ("toy", "swap", (0, "58686a508c43fb27")),
+    ("toy", "curveball", (0, "0d6f95cdf965bbef")),
+    ("zero-patterns", "swap", (2, "7a8040515781380b")),
+    ("zero-patterns", "curveball", (2, "04a685cd77afbcfc")),
+    ("two-margin-5x5", "swap", (0, "76cb1ad618cb5d87")),
+    ("two-margin-5x5", "curveball", (0, "4c8378d022882c48")),
+])
+def test_oracle_graphs_are_pinned(name, algorithm, expected):
+    assert _oracle_digest(ORACLE_SPACES[name](), algorithm) == expected
