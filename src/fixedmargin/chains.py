@@ -83,6 +83,17 @@ class Trace:
     counters: ChainCounters
 
 
+class ImmobileChainWarning(UserWarning):
+    """A chain that can never leave its initial matrix."""
+
+
+def immobile_reason(initial: BinaryMatrix, config: ChainConfig) -> str | None:
+    """Why a chain of `config` from `initial` can never move, or None."""
+    if config.algorithm == "swap" and len(initial.ones) < 2:
+        return "swap chain on a matrix with fewer than two 1s can never move"
+    return None
+
+
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_index,)))
 
@@ -97,8 +108,8 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
 
     The initial matrix must be compatible with the weights (no 1 on a zero
     weight).  Requesting a square-only statistic on a non-square matrix is an
-    error.  A swap chain on a matrix with fewer than two 1s can never move;
-    it runs anyway and warns once.
+    error.  A chain that can never move (see `immobile_reason`) runs anyway
+    and warns once with an ImmobileChainWarning.
     """
     require_compatible(initial, weights)
     stat_defs = [get_statistic(name) for name in config.statistics]
@@ -107,6 +118,9 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
             raise ValueError(
                 f"statistic {stat.name!r} needs a square matrix, got {initial.m}x{initial.n}"
             )
+    reason = immobile_reason(initial, config)
+    if reason is not None:
+        warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
     rows = list(initial._rows)
     u = UniformStream(_chain_rng(config.seed, chain_index)).u
     if config.algorithm == "curveball":
@@ -114,11 +128,6 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
             raise ValueError("curveball needs at least two rows")
         step = curveball._stepper(rows, weights._pos_masks, weights._log_rows, u)
     else:
-        if len(initial.ones) < 2:
-            warnings.warn(
-                "swap chain on a matrix with fewer than two 1s can never move",
-                stacklevel=2,
-            )
         # sorted: the row-major slot order of a fresh matrix, whatever steps moved `initial`
         step = swap._stepper(rows, sorted(initial.ones), weights._log_rows, u)
 
@@ -155,7 +164,9 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
 
 def _run_indexed(args) -> Trace:
     initial, weights, config, index = args
-    return run_chain(initial, weights, config, chain_index=index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImmobileChainWarning)  # run_ensemble warned once
+        return run_chain(initial, weights, config, chain_index=index)
 
 
 def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
@@ -164,10 +175,14 @@ def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConf
 
     Chains differ only in their seed derivation, so the result is identical
     whether they run serially or across worker processes.  At most `n_jobs`
-    workers start, and never more than there are chains or CPUs.
+    workers start, and never more than there are chains or CPUs.  A chain
+    that can never move warns once, here, not once per chain.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
+    reason = immobile_reason(initial, config)
+    if reason is not None:
+        warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
     jobs = [(initial, weights, config, index) for index in range(n_chains)]
     workers = min(n_jobs, n_chains, os.cpu_count() or 1)
     if workers > 1:

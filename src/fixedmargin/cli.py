@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .chains import ChainConfig, Trace, load_chain_config, run_chain, run_ensemble
+from .chains import (ChainConfig, ImmobileChainWarning, Trace, immobile_reason,
+                     load_chain_config, run_chain, run_ensemble)
 from .matrices import (
     BinaryMatrix,
     CompatibilityError,
@@ -104,8 +107,7 @@ def _resolve_margins(args):
         raise _UsageError("give either a matrix file or --rows and --cols, not both")
     if has_file:
         matrix = read_binary_matrix(args.matrix)
-        row_sums = [int(v) for v in matrix.row_sums]
-        col_sums = [int(v) for v in matrix.col_sums]
+        row_sums, col_sums = matrix.row_sums.tolist(), matrix.col_sums.tolist()
     else:
         if args.rows is None or args.cols is None:
             raise _UsageError("--rows and --cols must be given together")
@@ -158,6 +160,14 @@ def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
     if abort:
         print("error: connectivity was not certified and --strict is set", file=sys.stderr)
     return notes, abort
+
+
+def _note_immobile(matrix: BinaryMatrix, config: ChainConfig, notes: list[str]) -> None:
+    """Print and note, once per run, why the chains can never move, if they cannot."""
+    reason = immobile_reason(matrix, config)
+    if reason is not None:
+        print(f"warning: {reason}", file=sys.stderr)
+        notes.append(reason)
 
 
 def _trace_summary(values: np.ndarray) -> dict:
@@ -277,6 +287,7 @@ def cmd_sample(args) -> int:
     if abort:
         return EXIT_VERIFICATION
 
+    _note_immobile(matrix, config, notes)
     traces = run_ensemble(matrix, weights, config, n_chains=args.chains, n_jobs=args.jobs)
 
     out_dir = Path(args.out)
@@ -408,6 +419,7 @@ def cmd_nullmodel(args) -> int:
     if abort:
         return EXIT_VERIFICATION
 
+    _note_immobile(observed, config, notes)
     trace = run_chain(observed, weights, config)
     null_values = trace.values[args.statistic]
     p_value = empirical_p_value(observed_value, null_values, tail=args.tail)
@@ -417,25 +429,12 @@ def cmd_nullmodel(args) -> int:
     csv_path = out_dir / f"null-{args.statistic}.csv"
     _write_trace_csv(csv_path, observed, trace, kind="nullmodel")
 
-    echo = {
-        "algorithm": config.algorithm,
-        "burn_in": config.burn_in,
-        "thin": config.thin,
-        "retained": config.retained,
-        "seed": config.seed,
-        "statistic": args.statistic,
-        "tail": args.tail,
-        "weights": args.weights,
-        "weight_power": args.weight_power,
-        "out": str(out_dir),
-    }
-    result = {
-        "statistic": args.statistic,
-        "observed": float(observed_value),
-        "tail": args.tail,
-        "p_value": float(p_value),
-        "n_null": int(null_values.size),
-    }
+    echo = {key: getattr(config, key)
+            for key in ("algorithm", "burn_in", "thin", "retained", "seed")}
+    echo.update(statistic=args.statistic, tail=args.tail, weights=args.weights,
+                weight_power=args.weight_power, out=str(out_dir))
+    result = dict(statistic=args.statistic, observed=float(observed_value), tail=args.tail,
+                  p_value=float(p_value), n_null=int(null_values.size))
     return _print_report("nullmodel", echo, observed, [_chain_entry(trace, csv_path)],
                          notes, result)
 
@@ -531,7 +530,13 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
             raise _UsageError("a command is required")
-        return args.handler(args)
+        for option in ("jobs", "cap", "tolerance"):
+            value = getattr(args, option, None)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise _UsageError(f"--{option} must be finite and above 0, got {value}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ImmobileChainWarning)  # reported as a note instead
+            return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -67,24 +67,27 @@ def _columns(mask: int) -> list[int]:
     return cols
 
 
+def _split(cand_i, head):
+    """The trade that leaves row i with the columns `head` of the candidate pool.
+
+    `cand_i` is ascending, `head` any len(cand_i) pool columns.  Returns the
+    columns each row gains, sorted; both are empty for the identity trade.
+    """
+    keep_i, kept = set(cand_i), set(head)
+    return sorted([j for j in head if j not in keep_i]), [j for j in cand_i if j not in kept]
+
+
 def _shuffle_split(cand_i, cand_ip, u):
     """Uniform split of the candidate union back into the original sizes.
 
-    Returns the columns gained by each row (sorted).  Fisher-Yates on the
-    concatenated list; the first len(cand_i) entries become row i's new
-    exclusive columns.
+    Fisher-Yates on the concatenated list; the first len(cand_i) entries
+    become row i's new exclusive columns, traded through `_split`.
     """
     pool = cand_i + cand_ip
     for x in range(len(pool) - 1, 0, -1):
         r = trunc(u() * (x + 1))
         pool[x], pool[r] = pool[r], pool[x]
-    a = len(cand_i)
-    keep_i = set(cand_i)
-    gained_i = [j for j in pool[:a] if j not in keep_i]
-    gained_ip = [j for j in pool[a:] if j in keep_i]
-    gained_i.sort()
-    gained_ip.sort()
-    return gained_i, gained_ip
+    return _split(cand_i, pool[:len(cand_i)])
 
 
 def _trade_prob(log_rows, i, ip, gained_i, gained_ip) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ALGORITHMS, Trace
-from .curveball import _candidates, _columns, _trade_prob
+from .curveball import _candidates, _columns, _split, _trade_prob
 from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
 from .swap import _swap_weights
 
@@ -87,38 +87,27 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     if weights is None:
         weights = WeightMatrix.all_ones(m, n)
     if (weights.m, weights.n) != (m, n):
-        raise ValueError(
-            f"weights are {weights.m}x{weights.n} but margins imply {m}x{n}"
-        )
+        raise ValueError(f"weights are {weights.m}x{weights.n} but margins imply {m}x{n}")
 
     states: list[BinaryMatrix] = []
     if m > 0 and n > 0 and r.sum() == c.sum() and (r <= n).all() and (c <= m).all():
         allowed = [_columns(mask) for mask in weights._pos_masks]
         remaining = c.tolist()
+        need = r.tolist()
         chosen: list[int] = []
 
         def descend(i: int) -> None:
             if i == m:
                 if len(states) >= cap:
-                    raise SpaceTooLargeError(
-                        f"state space exceeds the cap of {cap} states"
-                    )
+                    raise SpaceTooLargeError(f"state space exceeds the cap of {cap} states")
                 states.append(BinaryMatrix._from_row_bits(chosen, n))
                 return
             rows_left_after = m - i - 1
             open_cols = [j for j in allowed[i] if remaining[j] > 0]
-            need = int(r[i])
-            if len(open_cols) < need:
-                return
-            for cols in itertools.combinations(open_cols, need):
-                ok = True
+            for cols in itertools.combinations(open_cols, need[i]):
                 for j in cols:
                     remaining[j] -= 1
-                for j in range(n):
-                    if remaining[j] > rows_left_after:
-                        ok = False
-                        break
-                if ok:
+                if max(remaining) <= rows_left_after:
                     chosen.append(sum(1 << j for j in cols))
                     descend(i + 1)
                     chosen.pop()
@@ -146,11 +135,6 @@ def _max_pairwise_hamming(space: EnumeratedSpace) -> int:
     for i in range(len(flat) - 1):
         worst = max(worst, int(np.abs(flat[i + 1:] - flat[i]).sum(axis=1).max()))
     return worst
-
-
-def _require_algorithm(algorithm: str) -> None:
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +165,8 @@ class MoveGraph:
 
 def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
     """The sampler's legal moves on the space, built once per space and algorithm."""
-    _require_algorithm(algorithm)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     graph = space._moves.get(algorithm)
     if graph is None:
         build = _swap_moves if algorithm == "swap" else _curveball_moves
@@ -261,13 +246,9 @@ def _curveball_moves(space: EnumeratedSpace):
                 continue
             cand_i = _columns(cand_a)
             pool = cand_i + _columns(cand_b)
-            a = len(cand_i)
-            set_i = set(cand_i)
-            inv_splits = inv_pairs / math.comb(len(pool), a)
-            for head in itertools.combinations(pool, a):
-                gained_i = sorted(j for j in head if j not in set_i)
-                head_set = set(head)
-                gained_ip = sorted(j for j in cand_i if j not in head_set)
+            inv_splits = inv_pairs / math.comb(len(pool), len(cand_i))
+            for head in itertools.combinations(pool, len(cand_i)):
+                gained_i, gained_ip = _split(cand_i, head)
                 p = _trade_prob(weights._log_rows, i, ip, gained_i, gained_ip)
                 if gained_i:
                     # candidates carry positive weights, so the target is a state
@@ -307,33 +288,43 @@ def stationarity_residual(space: EnumeratedSpace, algorithm: str) -> float:
     return float(np.abs(pi_k - pi).max(initial=0.0))
 
 
+def _layers(targets: list[list[int]], source: int):
+    """Breadth-first layers over the move targets, nearest first.
+
+    Yields [source], then the states first reached at distance 1, 2, ...
+    """
+    seen = bytearray(len(targets))
+    seen[source] = 1
+    layer = [source]
+    while layer:
+        yield layer
+        grown = []
+        for s in layer:
+            for t in targets[s]:
+                if not seen[t]:
+                    seen[t] = 1
+                    grown.append(t)
+        layer = grown
+
+
 def connectivity(space: EnumeratedSpace, algorithm: str) -> list[list[int]]:
     """Connected components of the legal-move graph, as sorted index lists.
 
     A single component means the sampler can reach every positive-probability
     state; more than one means the chain is reducible on this input and its
-    long-run frequencies depend on the starting matrix.  Swap and curveball
-    have the same components.
+    long-run frequencies depend on the starting matrix.  Each component is
+    the breadth-first reach of its lowest state, and components come in the
+    order of their lowest states; the graph is symmetric, so reach is
+    mutual.  Swap and curveball have the same components.
     """
-    graph = move_graph(space, algorithm)
-    parent = list(range(len(graph.stay)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # the graph is symmetric, so each move joins what its reverse would
-    forward = graph.src < graph.dst
-    for s, t in zip(graph.src[forward].tolist(), graph.dst[forward].tolist()):
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt)] = min(rs, rt)
-    components: dict[int, list[int]] = {}
-    for s in range(len(parent)):
-        components.setdefault(find(s), []).append(s)
-    return list(components.values())
+    targets = move_graph(space, algorithm).targets()
+    components: list[list[int]] = []
+    placed: set[int] = set()
+    for s in range(len(targets)):
+        if s not in placed:
+            components.append(sorted(t for layer in _layers(targets, s) for t in layer))
+            placed.update(components[-1])
+    return components
 
 
 def min_swaps(space: EnumeratedSpace, a, b, algorithm: str = "swap") -> int | None:
@@ -343,26 +334,12 @@ def min_swaps(space: EnumeratedSpace, a, b, algorithm: str = "swap") -> int | No
     the space.  Distances are BFS shortest paths in the legal-move graph of
     the chosen sampler.
     """
-    _require_algorithm(algorithm)
+    targets = move_graph(space, algorithm).targets()
     ia = int(a) if isinstance(a, (int, np.integer)) else space.index_of(a)
     ib = int(b) if isinstance(b, (int, np.integer)) else space.index_of(b)
-    if ia == ib:
-        return 0
-    targets = move_graph(space, algorithm).targets()
-    seen = {ia}
-    frontier = [ia]
-    distance = 0
-    while frontier:
-        distance += 1
-        grown = []
-        for node in frontier:
-            for t in targets[node]:
-                if t not in seen:
-                    seen.add(t)
-                    grown.append(t)
-        if ib in seen:
+    for distance, layer in enumerate(_layers(targets, ia)):
+        if ib in layer:
             return distance
-        frontier = grown
     return None
 
 
@@ -373,10 +350,9 @@ def diameter(space: EnumeratedSpace, algorithm: str = "swap") -> int:
     the current distance of s, and one round ORs in the sets of s's move
     targets, until every set is full.
     """
-    _require_algorithm(algorithm)
+    targets = move_graph(space, algorithm).targets()
     if len(space) == 0:
         raise ValueError("the space is empty")
-    targets = move_graph(space, algorithm).targets()
     full = (1 << len(space)) - 1
     reach = [1 << s for s in range(len(space))]
     rounds = 0

@@ -547,6 +547,43 @@ def test_weight_power_on_huge_weights_verifies_like_the_unscaled_law(tmp_path, t
     assert reports[0]["states"] == 6 and reports[0]["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "{matrix}", "--chains", "2", "--jobs", "1"],
+    ["sample", "{matrix}", "--chains", "2", "--jobs", "2"],
+    ["nullmodel", "{matrix}", "--burn-in", "0", "--thin", "1", "--samples", "30"],
+], ids=["sample-jobs-1", "sample-jobs-2", "nullmodel"])
+def test_immobile_swap_chain_is_one_note(tmp_path, capfd, argv):
+    # capfd, not capsys: worker processes write to the inherited stderr
+    matrix = _write(tmp_path / "m.txt", "0 1\n0 0\n")
+    code = main([arg.replace("{matrix}", matrix) for arg in argv]
+                + ["--algorithm", "swap", "--out", str(tmp_path / "run")])
+    out, err = capfd.readouterr()
+    assert code == 0
+    assert json.loads(out)["notes"] == [
+        "swap chain on a matrix with fewer than two 1s can never move"]
+    assert err.count("warning:") == 1 and "never move" in err
+    assert "UserWarning" not in err and ".py:" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rows", "1,1", "--cols", "1,1", "--tolerance", "nan"],
+    ["verify", "--rows", "1,1", "--cols", "1,1", "--tolerance", "-1"],
+    ["verify", "--rows", "1,1", "--cols", "1,1", "--tolerance", "inf"],
+    ["verify", "--rows", "1,1", "--cols", "1,1", "--cap", "-5"],
+    ["enumerate", "--rows", "1,1", "--cols", "1,1", "--cap", "0"],
+    ["sample", "{matrix}", "--jobs", "0"],
+    ["sample", "{matrix}", "--jobs", "-2"],
+])
+def test_option_out_of_range_is_usage_error(tmp_path, toy_files, capsys, argv):
+    matrix, _ = toy_files
+    code = main([arg.replace("{matrix}", matrix) for arg in argv]
+                + (["--out", str(tmp_path / "run")] if argv[0] == "sample" else []))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and f"{argv[-2]} must be finite and above 0" in err
+    assert not (tmp_path / "run").exists()
+
+
 # -- entry points and dispatch ------------------------------------------------
 
 
