@@ -87,9 +87,9 @@ class ImmobileChainWarning(UserWarning):
     """A chain that can never leave its initial matrix."""
 
 
-def immobile_reason(initial: BinaryMatrix, config: ChainConfig) -> str | None:
-    """Why a chain of `config` from `initial` can never move, or None."""
-    if config.algorithm == "swap" and len(initial.ones) < 2:
+def immobile_reason(initial: BinaryMatrix, algorithm: str) -> str | None:
+    """Why a chain of `algorithm` from `initial` can never move, or None."""
+    if algorithm == "swap" and len(initial.ones) < 2:
         return "swap chain on a matrix with fewer than two 1s can never move"
     return None
 
@@ -118,7 +118,7 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
             raise ValueError(
                 f"statistic {stat.name!r} needs a square matrix, got {initial.m}x{initial.n}"
             )
-    reason = immobile_reason(initial, config)
+    reason = immobile_reason(initial, config.algorithm)
     if reason is not None:
         warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
     rows = list(initial._rows)
@@ -180,7 +180,7 @@ def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConf
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    reason = immobile_reason(initial, config)
+    reason = immobile_reason(initial, config.algorithm)
     if reason is not None:
         warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
     jobs = [(initial, weights, config, index) for index in range(n_chains)]

@@ -107,7 +107,8 @@ def _resolve_margins(args):
         raise _UsageError("give either a matrix file or --rows and --cols, not both")
     if has_file:
         matrix = read_binary_matrix(args.matrix)
-        row_sums, col_sums = matrix.row_sums.tolist(), matrix.col_sums.tolist()
+        row_sums = [int(v) for v in matrix.row_sums]
+        col_sums = [int(v) for v in matrix.col_sums]
     else:
         if args.rows is None or args.cols is None:
             raise _UsageError("--rows and --cols must be given together")
@@ -162,14 +163,6 @@ def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
     return notes, abort
 
 
-def _note_immobile(matrix: BinaryMatrix, config: ChainConfig, notes: list[str]) -> None:
-    """Print and note, once per run, why the chains can never move, if they cannot."""
-    reason = immobile_reason(matrix, config)
-    if reason is not None:
-        print(f"warning: {reason}", file=sys.stderr)
-        notes.append(reason)
-
-
 def _trace_summary(values: np.ndarray) -> dict:
     summary = {
         "n": int(values.size),
@@ -219,8 +212,13 @@ def _print_report(command: str, config: dict, matrix: BinaryMatrix, chains: list
     `chains` holds one entry per chain with its counters, per-statistic
     summaries (mean, sd, ess, mcse) and file paths; the report's `files`
     repeats every path the run wrote so callers can existence-check them
-    in one place.
+    in one place.  Chains that can never move add one note and one
+    warning line.
     """
+    reason = immobile_reason(matrix, config["algorithm"])
+    if reason is not None:
+        print(f"warning: {reason}", file=sys.stderr)
+        notes.append(reason)
     report = {
         "command": command,
         "config": config,
@@ -287,7 +285,6 @@ def cmd_sample(args) -> int:
     if abort:
         return EXIT_VERIFICATION
 
-    _note_immobile(matrix, config, notes)
     traces = run_ensemble(matrix, weights, config, n_chains=args.chains, n_jobs=args.jobs)
 
     out_dir = Path(args.out)
@@ -419,7 +416,6 @@ def cmd_nullmodel(args) -> int:
     if abort:
         return EXIT_VERIFICATION
 
-    _note_immobile(observed, config, notes)
     trace = run_chain(observed, weights, config)
     null_values = trace.values[args.statistic]
     p_value = empirical_p_value(observed_value, null_values, tail=args.tail)
@@ -429,12 +425,25 @@ def cmd_nullmodel(args) -> int:
     csv_path = out_dir / f"null-{args.statistic}.csv"
     _write_trace_csv(csv_path, observed, trace, kind="nullmodel")
 
-    echo = {key: getattr(config, key)
-            for key in ("algorithm", "burn_in", "thin", "retained", "seed")}
-    echo.update(statistic=args.statistic, tail=args.tail, weights=args.weights,
-                weight_power=args.weight_power, out=str(out_dir))
-    result = dict(statistic=args.statistic, observed=float(observed_value), tail=args.tail,
-                  p_value=float(p_value), n_null=int(null_values.size))
+    echo = {
+        "algorithm": config.algorithm,
+        "burn_in": config.burn_in,
+        "thin": config.thin,
+        "retained": config.retained,
+        "seed": config.seed,
+        "statistic": args.statistic,
+        "tail": args.tail,
+        "weights": args.weights,
+        "weight_power": args.weight_power,
+        "out": str(out_dir),
+    }
+    result = {
+        "statistic": args.statistic,
+        "observed": float(observed_value),
+        "tail": args.tail,
+        "p_value": float(p_value),
+        "n_null": int(null_values.size),
+    }
     return _print_report("nullmodel", echo, observed, [_chain_entry(trace, csv_path)],
                          notes, result)
 

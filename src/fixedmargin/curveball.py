@@ -70,11 +70,13 @@ def _columns(mask: int) -> list[int]:
 def _split(cand_i, head):
     """The trade that leaves row i with the columns `head` of the candidate pool.
 
-    `cand_i` is ascending, `head` any len(cand_i) pool columns.  Returns the
-    columns each row gains, sorted; both are empty for the identity trade.
+    `head` is any len(cand_i) columns of the pool.  Returns the columns each
+    row gains, sorted; both are empty for the identity trade.
     """
-    keep_i, kept = set(cand_i), set(head)
-    return sorted([j for j in head if j not in keep_i]), [j for j in cand_i if j not in kept]
+    keep_i = set(cand_i)
+    gained_i = sorted([j for j in head if j not in keep_i])
+    keep_i.difference_update(head)
+    return gained_i, sorted(keep_i)
 
 
 def _shuffle_split(cand_i, cand_ip, u):

@@ -87,7 +87,9 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     if weights is None:
         weights = WeightMatrix.all_ones(m, n)
     if (weights.m, weights.n) != (m, n):
-        raise ValueError(f"weights are {weights.m}x{weights.n} but margins imply {m}x{n}")
+        raise ValueError(
+            f"weights are {weights.m}x{weights.n} but margins imply {m}x{n}"
+        )
 
     states: list[BinaryMatrix] = []
     if m > 0 and n > 0 and r.sum() == c.sum() and (r <= n).all() and (c <= m).all():
@@ -99,7 +101,9 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
         def descend(i: int) -> None:
             if i == m:
                 if len(states) >= cap:
-                    raise SpaceTooLargeError(f"state space exceeds the cap of {cap} states")
+                    raise SpaceTooLargeError(
+                        f"state space exceeds the cap of {cap} states"
+                    )
                 states.append(BinaryMatrix._from_row_bits(chosen, n))
                 return
             rows_left_after = m - i - 1
@@ -167,10 +171,12 @@ def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
     """The sampler's legal moves on the space, built once per space and algorithm."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    if algorithm == "curveball" and space.weights.m < 2:
+        raise ValueError("the curveball kernel needs at least two rows")
     graph = space._moves.get(algorithm)
     if graph is None:
-        build = _swap_moves if algorithm == "swap" else _curveball_moves
-        columns = [np.frombuffer(column, dtype=column.typecode) for column in build(space)]
+        columns = _moves(space, _swap_moves if algorithm == "swap" else _curveball_moves)
+        columns = [np.frombuffer(column, dtype=column.typecode) for column in columns]
         for column in columns:
             column.flags.writeable = False  # every caller shares the cached graph
         graph = space._moves[algorithm] = MoveGraph(*columns)
@@ -201,66 +207,59 @@ def _target_index(space: EnumeratedSpace, rows, i: int, ip: int, moved: int) -> 
     return space._index.get(tuple(target))
 
 
-def _swap_moves(space: EnumeratedSpace):
-    log_rows = space.weights._log_rows
+def _moves(space: EnumeratedSpace, proposals):
+    """Move-graph columns from `proposals(space, rows)`, which yields every
+    outcome of one proposal from a state: its share of the proposal
+    probability, the target state's index (None for no move) and the
+    acceptance probability (0.0 for no move)."""
     src, dst, prob, stay = array("q"), array("q"), array("d"), array("d")
     for s, state in enumerate(space.states):
-        rows = state._rows
-        ones = [(i, j) for i, row in enumerate(rows) for j in _columns(row)]
-        k = len(ones)
-        if k < 2:
-            stay.append(1.0)
-            continue
-        inv_pairs = 1.0 / (k * (k - 1) // 2)
         mass = 0.0
-        for (i, j), (ip, jp) in itertools.combinations(ones, 2):
-            # a pair that is no checkerboard, or whose swap lands a 1 on a
-            # zero weight, moves nowhere, as if always rejected
-            d = _swap_weights(rows, log_rows, i, j, ip, jp)
-            t = None if d is None else _target_index(space, rows, i, ip, 1 << j | 1 << jp)
-            p = 0.0
+        for share, t, p in proposals(space, state._rows):
             if t is not None:
-                p = _accept_prob(d)
                 src.append(s)
                 dst.append(t)
-                prob.append(inv_pairs * p)
-            mass += inv_pairs * (1.0 - p)
+                prob.append(share * p)
+            mass += share * (1.0 - p)
         stay.append(mass)
     return src, dst, prob, stay
 
 
-def _curveball_moves(space: EnumeratedSpace):
+def _swap_moves(space: EnumeratedSpace, rows):
+    ones = [(i, j) for i, row in enumerate(rows) for j in _columns(row)]
+    k = len(ones)
+    if k < 2:
+        yield 1.0, None, 0.0
+        return
+    inv_pairs = 1.0 / (k * (k - 1) // 2)
+    for (i, j), (ip, jp) in itertools.combinations(ones, 2):
+        # a pair that is no checkerboard, or whose swap lands a 1 on a
+        # zero weight, moves nowhere, as if always rejected
+        d = _swap_weights(rows, space.weights._log_rows, i, j, ip, jp)
+        t = None if d is None else _target_index(space, rows, i, ip, 1 << j | 1 << jp)
+        yield inv_pairs, t, 0.0 if t is None else _accept_prob(d)
+
+
+def _curveball_moves(space: EnumeratedSpace, rows):
     weights = space.weights
-    m = weights.m
-    if m < 2:
-        raise ValueError("the curveball kernel needs at least two rows")
-    inv_pairs = 1.0 / (m * (m - 1) // 2)
-    src, dst, prob, stay = array("q"), array("q"), array("d"), array("d")
-    for s, state in enumerate(space.states):
-        rows = state._rows
-        mass = 0.0
-        for i, ip in itertools.combinations(range(m), 2):
-            cand_a, cand_b = _candidates(rows, weights._pos_masks, i, ip)
-            if not cand_a or not cand_b:
-                mass += inv_pairs
+    inv_pairs = 1.0 / (weights.m * (weights.m - 1) // 2)
+    for i, ip in itertools.combinations(range(weights.m), 2):
+        cand_a, cand_b = _candidates(rows, weights._pos_masks, i, ip)
+        if not cand_a or not cand_b:
+            yield inv_pairs, None, 0.0
+            continue
+        cand_i = _columns(cand_a)
+        pool = cand_i + _columns(cand_b)
+        inv_splits = inv_pairs / math.comb(len(pool), len(cand_i))
+        for head in itertools.combinations(pool, len(cand_i)):
+            gained_i, gained_ip = _split(cand_i, head)
+            if not gained_i:  # the identity trade
+                yield inv_splits, None, 0.0
                 continue
-            cand_i = _columns(cand_a)
-            pool = cand_i + _columns(cand_b)
-            inv_splits = inv_pairs / math.comb(len(pool), len(cand_i))
-            for head in itertools.combinations(pool, len(cand_i)):
-                gained_i, gained_ip = _split(cand_i, head)
-                p = _trade_prob(weights._log_rows, i, ip, gained_i, gained_ip)
-                if gained_i:
-                    # candidates carry positive weights, so the target is a state
-                    moved = sum(1 << j for j in gained_i + gained_ip)
-                    src.append(s)
-                    dst.append(_target_index(space, rows, i, ip, moved))
-                    prob.append(inv_splits * p)
-                    mass += inv_splits * (1.0 - p)
-                else:
-                    mass += inv_splits
-        stay.append(mass)
-    return src, dst, prob, stay
+            # candidates carry positive weights, so the target is a state
+            moved = sum(1 << j for j in gained_i + gained_ip)
+            yield (inv_splits, _target_index(space, rows, i, ip, moved),
+                   _trade_prob(weights._log_rows, i, ip, gained_i, gained_ip))
 
 
 def balance_residual(space: EnumeratedSpace, algorithm: str) -> float:
