@@ -175,8 +175,8 @@ def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
         raise ValueError("the curveball kernel needs at least two rows")
     graph = space._moves.get(algorithm)
     if graph is None:
-        columns = _moves(space, _swap_moves if algorithm == "swap" else _curveball_moves)
-        columns = [np.frombuffer(column, dtype=column.typecode) for column in columns]
+        build = _swap_moves if algorithm == "swap" else _curveball_moves
+        columns = [np.frombuffer(column, dtype=column.typecode) for column in _moves(space, build)]
         for column in columns:
             column.flags.writeable = False  # every caller shares the cached graph
         graph = space._moves[algorithm] = MoveGraph(*columns)
@@ -208,10 +208,12 @@ def _target_index(space: EnumeratedSpace, rows, i: int, ip: int, moved: int) -> 
 
 
 def _moves(space: EnumeratedSpace, proposals):
-    """Move-graph columns from `proposals(space, rows)`, which yields every
-    outcome of one proposal from a state: its share of the proposal
-    probability, the target state's index (None for no move) and the
-    acceptance probability (0.0 for no move)."""
+    """The move graph's columns, accumulated one proposal outcome at a time.
+
+    `proposals(space, rows)` yields every outcome of one proposal from the
+    state `rows`: its share of the proposal probability, the target state's
+    index (None for no move) and the acceptance probability (0.0 for no move).
+    """
     src, dst, prob, stay = array("q"), array("q"), array("d"), array("d")
     for s, state in enumerate(space.states):
         mass = 0.0
