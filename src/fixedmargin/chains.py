@@ -50,6 +50,8 @@ class ChainConfig:
             raise ValueError("thin must be >= 1")
         if self.retained < 1:
             raise ValueError("retained must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "statistics", tuple(self.statistics))
         for name in self.statistics:
             get_statistic(name)
@@ -87,9 +89,21 @@ class ImmobileChainWarning(UserWarning):
     """A chain that can never leave its initial matrix."""
 
 
-def immobile_reason(initial: BinaryMatrix, algorithm: str) -> str | None:
-    """Why a chain of `algorithm` from `initial` can never move, or None."""
-    if algorithm == "swap" and len(initial.ones) < 2:
+def check_start(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig) -> str | None:
+    """Raise if a chain of `config` cannot start at `initial`; else why it never moves, or None.
+
+    A 1 on a zero weight raises CompatibilityError; a square-only statistic
+    on a non-square matrix, or curveball on fewer than two rows, ValueError.
+    """
+    require_compatible(initial, weights)
+    for name in config.statistics:
+        if get_statistic(name).square_only and initial.m != initial.n:
+            raise ValueError(
+                f"statistic {name!r} needs a square matrix, got {initial.m}x{initial.n}"
+            )
+    if config.algorithm == "curveball" and initial.m < 2:
+        raise ValueError("curveball needs at least two rows")
+    if config.algorithm == "swap" and len(initial.ones) < 2:
         return "swap chain on a matrix with fewer than two 1s can never move"
     return None
 
@@ -106,26 +120,16 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
     and kept matrices see a BinaryMatrix built from them at each retention
     instant.
 
-    The initial matrix must be compatible with the weights (no 1 on a zero
-    weight).  Requesting a square-only statistic on a non-square matrix is an
-    error.  A chain that can never move (see `immobile_reason`) runs anyway
-    and warns once with an ImmobileChainWarning.
+    `check_start` refuses a start the chain cannot run from.  A chain that
+    can never move runs anyway and warns once with an ImmobileChainWarning.
     """
-    require_compatible(initial, weights)
-    stat_defs = [get_statistic(name) for name in config.statistics]
-    for stat in stat_defs:
-        if stat.square_only and initial.m != initial.n:
-            raise ValueError(
-                f"statistic {stat.name!r} needs a square matrix, got {initial.m}x{initial.n}"
-            )
-    reason = immobile_reason(initial, config.algorithm)
+    reason = check_start(initial, weights, config)
     if reason is not None:
         warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
+    stat_defs = [get_statistic(name) for name in config.statistics]
     rows = list(initial._rows)
     u = UniformStream(_chain_rng(config.seed, chain_index)).u
     if config.algorithm == "curveball":
-        if initial.m < 2:
-            raise ValueError("curveball needs at least two rows")
         step = curveball._stepper(rows, weights._pos_masks, weights._log_rows, u)
     else:
         # sorted: the row-major slot order of a fresh matrix, whatever steps moved `initial`
@@ -175,12 +179,12 @@ def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConf
 
     Chains differ only in their seed derivation, so the result is identical
     whether they run serially or across worker processes.  At most `n_jobs`
-    workers start, and never more than there are chains or CPUs.  A chain
-    that can never move warns once, here, not once per chain.
+    workers start, and never more than there are chains or CPUs.  The start
+    is checked here, before any worker starts, and a chain that can never move warns once.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    reason = immobile_reason(initial, config.algorithm)
+    reason = check_start(initial, weights, config)
     if reason is not None:
         warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
     jobs = [(initial, weights, config, index) for index in range(n_chains)]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import (ChainConfig, ImmobileChainWarning, Trace, immobile_reason,
+from .chains import (ChainConfig, ImmobileChainWarning, Trace, check_start,
                      load_chain_config, run_chain, run_ensemble)
 from .matrices import (
     BinaryMatrix,
@@ -34,7 +34,6 @@ from .matrices import (
     is_monotonic,
     read_binary_matrix,
     read_weight_matrix,
-    require_compatible,
     write_binary_matrix,
 )
 from .oracle import (
@@ -206,16 +205,15 @@ def _write_trace_csv(path: Path, matrix: BinaryMatrix, trace: Trace,
 
 
 def _print_report(command: str, config: dict, matrix: BinaryMatrix, chains: list,
-                  notes: list, result: dict | None = None) -> int:
+                  notes: list, reason: str | None, result: dict | None = None) -> int:
     """Print the JSON report of `sample` or `nullmodel`; return EXIT_OK.
 
     `chains` holds one entry per chain with its counters, per-statistic
     summaries (mean, sd, ess, mcse) and file paths; the report's `files`
     repeats every path the run wrote so callers can existence-check them
-    in one place.  Chains that can never move add one note and one
-    warning line.
+    in one place.  `reason`, from `check_start`, says why the chains can
+    never move; it adds one note and one warning line.
     """
-    reason = immobile_reason(matrix, config["algorithm"])
     if reason is not None:
         print(f"warning: {reason}", file=sys.stderr)
         notes.append(reason)
@@ -264,7 +262,6 @@ def _encode_state(matrix: BinaryMatrix) -> str:
 def cmd_sample(args) -> int:
     matrix = read_binary_matrix(args.matrix)
     weights = _load_weights(args, (matrix.m, matrix.n))
-    require_compatible(matrix, weights)
 
     base = load_chain_config(args.config) if args.config is not None else ChainConfig()
     overrides = {
@@ -280,15 +277,15 @@ def cmd_sample(args) -> int:
     config = replace(base, **{k: v for k, v in overrides.items() if v is not None})
     if not config.statistics:
         raise _UsageError("--stats must name at least one statistic")
+    reason = check_start(matrix, weights, config)
 
     notes, abort = _check_zero_pattern(matrix, weights, args.strict)
     if abort:
         return EXIT_VERIFICATION
-
-    traces = run_ensemble(matrix, weights, config, n_chains=args.chains, n_jobs=args.jobs)
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    traces = run_ensemble(matrix, weights, config, n_chains=args.chains, n_jobs=args.jobs)
     chain_entries = []
     for trace in traces:
         csv_path = out_dir / f"chain-{trace.chain_index:03d}.csv"
@@ -309,7 +306,7 @@ def cmd_sample(args) -> int:
     # statistics serialises as the same JSON list
     echo = {**asdict(config), "chains": args.chains, "jobs": args.jobs,
             "weights": args.weights, "weight_power": args.weight_power, "out": str(out_dir)}
-    return _print_report("sample", echo, matrix, chain_entries, notes)
+    return _print_report("sample", echo, matrix, chain_entries, notes, reason)
 
 
 def cmd_enumerate(args) -> int:
@@ -401,9 +398,6 @@ def cmd_verify(args) -> int:
 def cmd_nullmodel(args) -> int:
     observed = read_binary_matrix(args.matrix)
     weights = _load_weights(args, (observed.m, observed.n))
-    require_compatible(observed, weights)
-    observed_value = evaluate_statistic(args.statistic, observed).value
-
     config = ChainConfig(
         algorithm=args.algorithm,
         burn_in=args.burn_in,
@@ -412,16 +406,18 @@ def cmd_nullmodel(args) -> int:
         seed=args.seed,
         statistics=(args.statistic,),
     )
+    reason = check_start(observed, weights, config)
+    observed_value = evaluate_statistic(args.statistic, observed).value
+
     notes, abort = _check_zero_pattern(observed, weights, args.strict)
     if abort:
         return EXIT_VERIFICATION
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     trace = run_chain(observed, weights, config)
     null_values = trace.values[args.statistic]
     p_value = empirical_p_value(observed_value, null_values, tail=args.tail)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"null-{args.statistic}.csv"
     _write_trace_csv(csv_path, observed, trace, kind="nullmodel")
 
@@ -445,7 +441,7 @@ def cmd_nullmodel(args) -> int:
         "n_null": int(null_values.size),
     }
     return _print_report("nullmodel", echo, observed, [_chain_entry(trace, csv_path)],
-                         notes, result)
+                         notes, reason, result)
 
 
 # -- parser -------------------------------------------------------------------

@@ -14,6 +14,7 @@ and the samplers, the oracle and every zero decision read those logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from math import exp, inf, isfinite, log
 
 import numpy as np
@@ -330,7 +331,7 @@ def read_binary_matrix(path) -> BinaryMatrix:
 
 
 def read_weight_matrix(path) -> WeightMatrix:
-    """Parse a nonnegative weight matrix file."""
+    """Parse a nonnegative weight matrix file; only a token whose value is 0 is a zero weight."""
     rows = _read_rows(path)
     data = []
     for lineno, tokens in rows:
@@ -343,6 +344,10 @@ def read_weight_matrix(path) -> WeightMatrix:
             if not np.isfinite(value) or value < 0:
                 raise MatrixFormatError(
                     f"{path}:{lineno}: weights must be finite and nonnegative, got {tok}"
+                )
+            if value == 0 and Decimal(tok) != 0:
+                raise MatrixFormatError(
+                    f"{path}:{lineno}: weight {tok} is nonzero but rounds to 0.0 as a float"
                 )
             parsed.append(value)
         data.append(parsed)

@@ -151,20 +151,16 @@ class MoveGraph:
     even when its probability underflows to 0.0, so the graph's edges come
     from move legality, not from floats.  Moves are listed source by source,
     so src is sorted, and no (src, dst) pair repeats.  The reverse of a legal
-    move is legal, so the graph is symmetric.  The space caches its graphs,
-    so the arrays are read-only.
+    move is legal, so the graph is symmetric.  targets[s] lists state s's
+    move targets, for the breadth-first searches.  The space caches its
+    graphs, so the arrays are read-only and the lists are not to be changed.
     """
 
     src: np.ndarray
     dst: np.ndarray
     prob: np.ndarray
     stay: np.ndarray
-
-    def targets(self) -> list[list[int]]:
-        """Each state's move targets, as Python lists."""
-        bounds = np.searchsorted(self.src, np.arange(len(self.stay) + 1)).tolist()
-        dst = self.dst.tolist()
-        return [dst[bounds[s]:bounds[s + 1]] for s in range(len(self.stay))]
+    targets: list[list[int]]
 
 
 def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
@@ -176,10 +172,11 @@ def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
     graph = space._moves.get(algorithm)
     if graph is None:
         build = _swap_moves if algorithm == "swap" else _curveball_moves
-        columns = [np.frombuffer(column, dtype=column.typecode) for column in _moves(space, build)]
+        *columns, targets = _moves(space, build)
+        columns = [np.frombuffer(column, dtype=column.typecode) for column in columns]
         for column in columns:
             column.flags.writeable = False  # every caller shares the cached graph
-        graph = space._moves[algorithm] = MoveGraph(*columns)
+        graph = space._moves[algorithm] = MoveGraph(*columns, targets)
     return graph
 
 
@@ -208,23 +205,26 @@ def _target_index(space: EnumeratedSpace, rows, i: int, ip: int, moved: int) -> 
 
 
 def _moves(space: EnumeratedSpace, proposals):
-    """The move graph's columns, accumulated one proposal outcome at a time.
+    """The move graph's columns and target lists, accumulated one proposal outcome at a time.
 
     `proposals(space, rows)` yields every outcome of one proposal from the
     state `rows`: its share of the proposal probability, the target state's
     index (None for no move) and the acceptance probability (0.0 for no move).
+    The target lists share the index ints of `space._index`.
     """
-    src, dst, prob, stay = array("q"), array("q"), array("d"), array("d")
+    src, dst, prob, stay, targets = array("q"), array("q"), array("d"), array("d"), []
     for s, state in enumerate(space.states):
-        mass = 0.0
+        mass, out = 0.0, []
         for share, t, p in proposals(space, state._rows):
             if t is not None:
                 src.append(s)
                 dst.append(t)
                 prob.append(share * p)
+                out.append(t)
             mass += share * (1.0 - p)
         stay.append(mass)
-    return src, dst, prob, stay
+        targets.append(out)
+    return src, dst, prob, stay, targets
 
 
 def _swap_moves(space: EnumeratedSpace, rows):
@@ -289,12 +289,13 @@ def stationarity_residual(space: EnumeratedSpace, algorithm: str) -> float:
     return float(np.abs(pi_k - pi).max(initial=0.0))
 
 
-def _layers(targets: list[list[int]], source: int):
+def _layers(targets: list[list[int]], source: int, seen: bytearray):
     """Breadth-first layers over the move targets, nearest first.
 
     Yields [source], then the states first reached at distance 1, 2, ...
+    Each state is marked in `seen` when reached; at a yield, exactly the
+    states of that layer and the nearer ones are marked.
     """
-    seen = bytearray(len(targets))
     seen[source] = 1
     layer = [source]
     while layer:
@@ -318,13 +319,12 @@ def connectivity(space: EnumeratedSpace, algorithm: str) -> list[list[int]]:
     order of their lowest states; the graph is symmetric, so reach is
     mutual.  Swap and curveball have the same components.
     """
-    targets = move_graph(space, algorithm).targets()
+    targets = move_graph(space, algorithm).targets
+    seen = bytearray(len(targets))
     components: list[list[int]] = []
-    placed: set[int] = set()
     for s in range(len(targets)):
-        if s not in placed:
-            components.append(sorted(t for layer in _layers(targets, s) for t in layer))
-            placed.update(components[-1])
+        if not seen[s]:
+            components.append(sorted(t for layer in _layers(targets, s, seen) for t in layer))
     return components
 
 
@@ -335,11 +335,14 @@ def min_swaps(space: EnumeratedSpace, a, b, algorithm: str = "swap") -> int | No
     the space.  Distances are BFS shortest paths in the legal-move graph of
     the chosen sampler.
     """
-    targets = move_graph(space, algorithm).targets()
+    targets = move_graph(space, algorithm).targets
     ia = int(a) if isinstance(a, (int, np.integer)) else space.index_of(a)
     ib = int(b) if isinstance(b, (int, np.integer)) else space.index_of(b)
-    for distance, layer in enumerate(_layers(targets, ia)):
-        if ib in layer:
+    if not (0 <= ia < len(targets) and 0 <= ib < len(targets)):
+        raise StateNotInSpaceError(f"indices {ia}, {ib}: the space has {len(targets)} states")
+    seen = bytearray(len(targets))
+    for distance, _ in enumerate(_layers(targets, ia, seen)):
+        if seen[ib]:
             return distance
     return None
 
@@ -351,7 +354,7 @@ def diameter(space: EnumeratedSpace, algorithm: str = "swap") -> int:
     the current distance of s, and one round ORs in the sets of s's move
     targets, until every set is full.
     """
-    targets = move_graph(space, algorithm).targets()
+    targets = move_graph(space, algorithm).targets
     if len(space) == 0:
         raise ValueError("the space is empty")
     full = (1 << len(space)) - 1

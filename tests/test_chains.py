@@ -41,8 +41,25 @@ def test_config_validation():
         ChainConfig(thin=0)
     with pytest.raises(ValueError, match="retained"):
         ChainConfig(retained=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ChainConfig(seed=-1)
     with pytest.raises(ValueError, match="unknown statistic"):
         ChainConfig(statistics=("banana",))
+
+
+def test_check_start_decides_every_start_condition():
+    lone = BinaryMatrix(np.array([[0, 1], [0, 0]]))
+    ones = WeightMatrix.all_ones(2, 2)
+    assert "can never move" in chains.check_start(lone, ones, ChainConfig())
+    assert chains.check_start(lone, ones, ChainConfig(algorithm="curveball")) is None
+    with pytest.raises(CompatibilityError):
+        chains.check_start(lone, WeightMatrix([[1.0, 0.0], [1.0, 1.0]]), ChainConfig())
+    row = BinaryMatrix(np.array([[1, 0, 1]]))
+    with pytest.raises(ValueError, match="square matrix, got 1x3"):
+        chains.check_start(row, WeightMatrix.all_ones(1, 3), ChainConfig())
+    with pytest.raises(ValueError, match="two rows"):
+        chains.check_start(row, WeightMatrix.all_ones(1, 3),
+                           ChainConfig(algorithm="curveball", statistics=("c-score",)))
 
 
 def test_config_accepts_statistic_lists():
@@ -235,6 +252,17 @@ def test_ensemble_caps_its_worker_processes(monkeypatch, alternating_weights,
     for a, b in zip(traces, serial, strict=True):
         assert a.counters == b.counters
         assert np.array_equal(a.values["diag-divergence"], b.values["diag-divergence"])
+
+
+def test_ensemble_checks_its_start_before_any_worker_starts(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(chains, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(chains.os, "cpu_count", lambda: 2)
+    with pytest.raises(CompatibilityError):
+        run_ensemble(BinaryMatrix.identity(2), WeightMatrix([[0.0, 1.0], [1.0, 1.0]]),
+                     ChainConfig(), 2, n_jobs=2)
 
 
 def test_ensemble_chains_differ_from_each_other(alternating_weights):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fixedmargin
+from fixedmargin import chains, cli
 from fixedmargin.cli import main
 from fixedmargin.matrices import read_binary_matrix
 from fixedmargin.stats import c_score
@@ -23,6 +24,10 @@ TOY_MATRIX = "1 0 0\n0 1 0\n0 0 1\n"
 TOY_WEIGHTS = "1 2 1\n2 1 2\n1 2 1\n"
 NO_DIAGONAL_WEIGHTS = "0 1 1\n1 0 1\n1 1 0\n"
 CYCLE_MATRIX = "0 1 0\n0 0 1\n1 0 0\n"
+# a 3x4 start behind zeros in three rows and columns: not monotonic, so
+# `sample` and `nullmodel` enumerate its space to certify connectivity
+RECT_MATRIX = "0 1 0 1\n1 0 0 1\n1 1 0 0\n"
+RECT_WEIGHTS = "0 1 1 1\n1 0 1 1\n1 1 0 1\n"
 
 
 def _write(path, text: str) -> str:
@@ -244,6 +249,84 @@ def test_sample_strict_certifies_curveball_at_extreme_weight_range(tmp_path, cap
     assert code == 0
     report = _report(capsys)
     assert any("connectivity check passed" in note for note in report["notes"])
+
+
+# -- start checks: refused before the zero check, a worker or a chain ----------
+
+
+@pytest.fixture()
+def rect_files(tmp_path):
+    return (_write(tmp_path / "rect.txt", RECT_MATRIX),
+            _write(tmp_path / "rect-w.txt", RECT_WEIGHTS))
+
+
+@pytest.mark.parametrize("extra", [[], ["--chains", "2", "--jobs", "2"]], ids=["serial", "jobs-2"])
+def test_square_statistic_on_rectangle_is_refused_before_any_work(monkeypatch, tmp_path,
+                                                                  rect_files, capsys, extra):
+    pools = []
+
+    class RecordingPool:
+        # records the pool size and maps in process, so no worker ever starts
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    monkeypatch.setattr(chains, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(chains.os, "cpu_count", lambda: 2)
+    matrix, weights = rect_files
+    code = main(["sample", matrix, "--weights", weights, "--out", str(tmp_path / "run")] + extra)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert pools == []
+    assert "'diag-divergence' needs a square matrix, got 3x4" in err
+    assert "warning:" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "nullmodel"])
+def test_negative_seed_is_refused_before_any_work(tmp_path, rect_files, capsys, command):
+    matrix, weights = rect_files
+    code = main([command, matrix, "--weights", weights, "--seed", "-1",
+                 "--out", str(tmp_path / "run")]
+                + (["--stats", "c-score"] if command == "sample" else []))
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "seed must be >= 0, got -1" in err and "warning:" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "nullmodel"])
+def test_out_naming_a_file_is_refused_before_any_chain_runs(monkeypatch, tmp_path, toy_files,
+                                                            capsys, command):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(cli, "run_ensemble", no_chain)
+    monkeypatch.setattr(cli, "run_chain", no_chain)
+    matrix, weights = toy_files
+    taken = _write(tmp_path / "taken", "")
+    code = main([command, matrix, "--weights", weights, "--out", taken])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "nullmodel"])
+def test_strict_abort_leaves_no_output_directory(tmp_path, capsys, command):
+    matrix = _write(tmp_path / "m.txt", CYCLE_MATRIX)
+    weights = _write(tmp_path / "w.txt", NO_DIAGONAL_WEIGHTS)
+    code = main([command, matrix, "--weights", weights, "--strict",
+                 "--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    assert code == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_auto_check_memory_stays_bounded(tmp_path):
@@ -522,6 +605,23 @@ def test_weight_power_keeps_a_tiny_weight_positive(tmp_path, capsys):
                  "--burn-in", "10", "--thin", "2", "--samples", "20",
                  "--out", str(tmp_path / "null")]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--rows", "1,1", "--cols", "1,1"],
+    ["nullmodel", "{matrix}", "--out", "{out}"],
+], ids=["enumerate", "nullmodel"])
+def test_weight_below_the_float_range_is_refused(tmp_path, capsys, argv):
+    # float("1e-400") is 0.0; read as a structural zero it would drop a
+    # state, and refuse the valid start below as incompatible
+    weights = _write(tmp_path / "w.txt", "1 1e-400\n1 1\n")
+    matrix = _write(tmp_path / "m.txt", "0 1\n1 0\n")
+    code = main([arg.format(matrix=matrix, out=tmp_path / "run") for arg in argv]
+                + ["--weights", weights])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "w.txt:1: weight 1e-400 is nonzero" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_weight_power_on_huge_weights_verifies_like_the_unscaled_law(tmp_path, toy_files,

@@ -363,3 +363,19 @@ def test_reader_rejects_empty_file(tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(MatrixFormatError, match="no matrix rows"):
         read_binary_matrix(path)
+
+
+@pytest.mark.parametrize("token", ["0", "0.0", "-0", "0e5"])
+def test_weight_reader_reads_a_zero_token_as_a_structural_zero(tmp_path, token):
+    path = tmp_path / "w.txt"
+    path.write_text(f"1 {token}\n1 1\n")
+    assert read_weight_matrix(path).zero_pattern == {(0, 1)}
+
+
+@pytest.mark.parametrize("token", ["1e-400", "-1e-400", "0.1e-330"])
+def test_weight_reader_refuses_a_nonzero_token_that_rounds_to_zero(tmp_path, token):
+    # float() reads these as 0.0, which would be a structural zero
+    path = tmp_path / "w.txt"
+    path.write_text(f"# tiny\n1 {token}\n1 1\n")
+    with pytest.raises(MatrixFormatError, match=rf"w\.txt:2: weight {token} is nonzero"):
+        read_weight_matrix(path)

@@ -369,6 +369,14 @@ def test_min_swaps_basics(alternating_weights, unit_margins):
         min_swaps(space, identity, BinaryMatrix(np.ones((3, 3), dtype=np.int8)))
 
 
+@pytest.mark.parametrize("a, b", [(0, -1), (0, 6), (-1, 0), (6, 0)])
+def test_min_swaps_refuses_an_index_outside_the_space(unit_margins, a, b):
+    # a negative index would otherwise count from the end of the space
+    space = enumerate_space(*unit_margins)
+    with pytest.raises(StateNotInSpaceError, match="the space has 6 states"):
+        min_swaps(space, a, b)
+
+
 def test_staircase_zero_spaces_meet_the_pairwise_distance_bound():
     # with a monotonic zero pattern every pair of states is connected by at
     # most half its Hamming distance in swaps
