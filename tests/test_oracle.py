@@ -7,6 +7,7 @@ certify the samplers with machinery the samplers share.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,65 @@ def test_curveball_kernel_row_from_identity(alternating_weights, unit_margins):
     }
     for sigma, value in expected.items():
         assert row[space.index_of(perm_matrix(sigma))] == pytest.approx(value, rel=1e-12)
+
+
+def _head_shares(a: int, b: int) -> dict:
+    # every ordering of a pool of a + b positions is equally likely under
+    # Fisher-Yates; row i keeps the first a of them
+    orders = list(itertools.permutations(range(a + b)))
+    shares = {}
+    for order in orders:
+        head = frozenset(order[:a])
+        shares[head] = shares.get(head, 0) + 1
+    return {head: count / len(orders) for head, count in shares.items()}
+
+
+def reference_curveball_kernel(space) -> np.ndarray:
+    """The curveball kernel from its definition, with no code of the sampler.
+
+    An ordered row pair is drawn uniformly; each row's candidates are its
+    columns with a 1 where the other row has a 0 and a positive weight; the
+    pooled candidates are put in every order, and row i keeps the first
+    len(candidates of i) of them.  A split that changes the matrix is
+    accepted with W(new) / (W(new) + W(old)), W the cell-weight product.
+    """
+    w = space.weights.weights.tolist()
+    m, n = len(w), len(w[0])
+    index = {tuple(map(tuple, state.entries.tolist())): s for s, state in enumerate(space.states)}
+    kernel = np.zeros((len(space), len(space)))
+    share_of_pair = 1.0 / (m * (m - 1))
+    for s, state in enumerate(space.states):
+        x = state.entries.tolist()
+        for i, ip in itertools.permutations(range(m), 2):
+            cand_i = [j for j in range(n) if x[i][j] and not x[ip][j] and w[ip][j] > 0]
+            cand_ip = [j for j in range(n) if x[ip][j] and not x[i][j] and w[i][j] > 0]
+            if not cand_i or not cand_ip:
+                kernel[s, s] += share_of_pair
+                continue
+            pool = cand_i + cand_ip
+            for head, share in _head_shares(len(cand_i), len(cand_ip)).items():
+                y = [list(row) for row in x]
+                for pos, j in enumerate(pool):
+                    y[i][j], y[ip][j] = (1, 0) if pos in head else (0, 1)
+                moved = [(r, j) for r in (i, ip) for j in pool if y[r][j] != x[r][j]]
+                w_old = math.prod(w[r][j] for r, j in moved if x[r][j])
+                w_new = math.prod(w[r][j] for r, j in moved if y[r][j])
+                accept = w_new / (w_new + w_old) if moved else 1.0
+                kernel[s, index[tuple(map(tuple, y))]] += share_of_pair * share * accept
+                kernel[s, s] += share_of_pair * share * (1.0 - accept)
+    return kernel
+
+
+@pytest.mark.parametrize("space", [
+    lambda: enumerate_space([1, 1, 1], [1, 1, 1],
+                            WeightMatrix([[1.0, 2.0, 1.0], [2.0, 1.0, 2.0], [1.0, 2.0, 1.0]])),
+    lambda: enumerate_space([1, 1, 1], [1, 1, 1], WeightMatrix(1.0 - np.eye(3))),
+    lambda: enumerate_space([2] * 5, [2] * 5),
+], ids=["toy", "zero-diagonal", "two-margin-5x5"])
+def test_curveball_kernel_matches_every_ordering_of_the_pool(space):
+    space = space()
+    reference = reference_curveball_kernel(space)
+    assert np.abs(exact_kernel(space, "curveball") - reference).max() <= 1e-15
 
 
 def test_kernel_rows_sum_to_one_and_balance_holds():
