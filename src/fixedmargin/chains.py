@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +189,8 @@ def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConf
     jobs = [(initial, weights, config, index) for index in range(n_chains)]
     workers = min(n_jobs, n_chains, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when workers start
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_indexed, jobs))
     return [_run_indexed(job) for job in jobs]

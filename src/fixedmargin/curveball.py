@@ -4,15 +4,18 @@ A proposal draws an unordered pair of distinct rows uniformly.  The tradeable
 columns of row i against row i' are the columns where row i has a 1, row i'
 has a 0, and w[i', j] > 0 (so the 1 could legally relocate); symmetrically
 for row i'.  If either side is empty the proposal is a no-trade.  Otherwise
-the union of both candidate lists is permuted uniformly and split back into
-two sets of the original sizes.  Writing j_i for the columns row i would
+the a + b pooled candidates are split uniformly back into sets of the
+original sizes (Carstens, Berger & Strona's trade law), drawn in time that
+grows with the number k of columns that cross, not with the pool: k from its
+hypergeometric law C(a, k) C(b, k) / C(a + b, a), then k of each row's
+candidates, uniformly, to hand over.  Writing j_i for the columns row i would
 gain and j_i' for those row i' would gain, the trade is accepted with the
 swap's logistic 1 / (1 + exp(d)) of the log-odds, with l = log w,
 
     d = sum(l[i', j] - l[i, j], j in j_i) + sum(l[i, j] - l[i', j], j in j_i'),
 
 so a one-column trade, which is a checkerboard swap, gets the swap's exact
-probability.  A permutation that reproduces the current sets is an identity
+probability.  A split with k = 0 reproduces the current sets: an identity
 trade, accepted as a self-transition without a coin flip.  One accepted trade
 can move many 1s at once, which is what makes this chain mix faster than
 single swaps on most inputs.
@@ -20,7 +23,7 @@ single swaps on most inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import trunc
+from math import comb, trunc
 
 from ._streams import UniformStream, draw_pair
 from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
@@ -30,6 +33,7 @@ REJECTED = "rejected"
 TRADED = "traded"
 
 _OUTCOMES = (NO_TRADE, REJECTED, TRADED)
+_MEMO_SIZE = 1024  # pool sizes whose cut points a stepper keeps
 
 
 @dataclass(frozen=True)
@@ -61,35 +65,82 @@ def _columns(mask: int) -> list[int]:
     """Set bits of a column bitmask, ascending."""
     cols = []
     while mask:
-        low = mask & -mask
-        cols.append(low.bit_length() - 1)
-        mask ^= low
+        j = mask.bit_length() - 1
+        cols.append(j)
+        mask ^= 1 << j
+    cols.reverse()
     return cols
 
 
-def _split(cand_i, head):
-    """The trade that leaves row i with the columns `head` of the candidate pool.
+def _crossing_law(a: int, b: int) -> list[float]:
+    """P(k) for k = 0..min(a, b): the chance that a uniform split crosses k columns each way.
 
-    `head` is any len(cand_i) columns of the pool.  Returns the columns each
-    row gains, sorted; both are empty for the identity trade.
+    A uniform split leaves row i a uniform a-subset of the a + b pooled
+    candidates, k of them from row i', with the hypergeometric probability
+    C(a, k) C(b, k) / C(a + b, a).  Each value is that ratio of exact
+    integers, correctly rounded, so no pool is too large for it.
     """
-    keep_i = set(cand_i)
-    gained_i = sorted([j for j in head if j not in keep_i])
-    keep_i.difference_update(head)
-    return gained_i, sorted(keep_i)
+    k = min(a, b)
+    total = comb(a + b, a)
+    count = comb(max(a, b), k)  # C(a, k) C(b, k) at the largest k
+    law = [0.0] * (k + 1)
+    while True:
+        law[k] = count / total
+        if not k:
+            return law
+        count = count * k * k // ((a - k + 1) * (b - k + 1))
+        k -= 1
 
 
-def _shuffle_split(cand_i, cand_ip, u):
-    """Uniform split of the candidate union back into the original sizes.
+def _cuts(a: int, b: int) -> list[float]:
+    # the draw's cut points: P(K), P(K) + P(K - 1), ... down to k = 1, with
+    # K = min(a, b); a uniform below the first cut crosses K columns
+    cuts, total = [], 0.0
+    for p in _crossing_law(a, b)[:0:-1]:
+        total += p
+        cuts.append(total)
+    return cuts
 
-    Fisher-Yates on the concatenated list; the first len(cand_i) entries
-    become row i's new exclusive columns, traded through `_split`.
+
+def _pick(cols: list[int], k: int, u) -> list[int]:
+    # k of the ascending columns, uniformly without replacement, sorted: a
+    # partial Fisher-Yates that reorders `cols` and draws nothing when k
+    # takes them all
+    n = len(cols)
+    if k < n:
+        for t in range(k):
+            r = t + trunc(u() * (n - t))
+            cols[t], cols[r] = cols[r], cols[t]
+        return sorted(cols[:k])
+    return cols
+
+
+def _draw_split(cand_i: list[int], cand_ip: list[int], u, memo: dict) -> tuple[list[int], list[int]]:
+    """A uniform split of the pooled candidates, as the columns each row gains.
+
+    Draws the number k of crossing columns by inverting `_crossing_law` from
+    k = min(a, b) down with one uniform, then k of each row's candidates to
+    hand over: at most 1 + 2k uniforms, where a shuffle of the pool takes
+    a + b - 1.  Both lists are sorted, and both empty for the identity split.
+    `memo` keeps the cut points per pool size for its owner; the candidate
+    lists are reordered.
     """
-    pool = cand_i + cand_ip
-    for x in range(len(pool) - 1, 0, -1):
-        r = trunc(u() * (x + 1))
-        pool[x], pool[r] = pool[r], pool[x]
-    return _split(cand_i, pool[:len(cand_i)])
+    a, b = len(cand_i), len(cand_ip)
+    cuts = memo.get((a, b))
+    if cuts is None:
+        cuts = _cuts(a, b)
+        if len(memo) < _MEMO_SIZE:
+            memo[a, b] = cuts
+    k = min(a, b)
+    c = u()
+    for cut in cuts:
+        if c < cut:
+            break
+        k -= 1
+    if not k:
+        return [], []
+    gained_ip = _pick(cand_i, k, u)
+    return _pick(cand_ip, k, u), gained_ip
 
 
 def _trade_prob(log_rows, i, ip, gained_i, gained_ip) -> float:
@@ -138,6 +189,7 @@ def _stepper(rows, pos_masks, log_rows, u):
     columns in both rows' bitsets, in place.
     """
     m = len(rows)
+    memo: dict = {}
 
     def step() -> int:
         a, b = draw_pair(m, u)
@@ -145,15 +197,15 @@ def _stepper(rows, pos_masks, log_rows, u):
         if not cand_a or not cand_b:
             return 0
         if not (cand_a & (cand_a - 1) or cand_b & (cand_b - 1)):
-            # a two-column pool: the single shuffle draw either keeps the split
-            # (identity trade) or crosses it, exactly as the general path would
+            # a two-column pool: the draw of k is its only draw, and crosses
+            # below 1/2, exactly as `_draw_split` would
             if trunc(u() * 2):
                 return 2
             gained_a = [cand_b.bit_length() - 1]
             gained_b = [cand_a.bit_length() - 1]
             moved = cand_a | cand_b
         else:
-            gained_a, gained_b = _shuffle_split(_columns(cand_a), _columns(cand_b), u)
+            gained_a, gained_b = _draw_split(_columns(cand_a), _columns(cand_b), u, memo)
             if not gained_a:
                 return 2
             moved = 0
@@ -188,12 +240,12 @@ def propose_trade(state: BinaryMatrix, weights: WeightMatrix, rng, rows=None) ->
     cand_a, cand_b = _candidates(state._rows, weights._pos_masks, a, b)
     if not cand_a or not cand_b:
         return None
-    cand_i, cand_ip = _columns(cand_a), _columns(cand_b)
-    gained_i, gained_ip = _shuffle_split(cand_i, cand_ip, u)
+    cand_i, cand_ip = tuple(_columns(cand_a)), tuple(_columns(cand_b))
+    gained_i, gained_ip = _draw_split(list(cand_i), list(cand_ip), u, {})
     return TradeProposal(
         rows=(a, b),
-        candidates_i=tuple(cand_i),
-        candidates_i_prime=tuple(cand_ip),
+        candidates_i=cand_i,
+        candidates_i_prime=cand_ip,
         moved_to_i=tuple(gained_i),
         moved_to_i_prime=tuple(gained_ip),
         trade_probability=_trade_prob(weights._log_rows, a, b, gained_i, gained_ip),

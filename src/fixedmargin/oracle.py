@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ALGORITHMS, Trace
-from .curveball import _candidates, _columns, _split, _trade_prob
+from .curveball import _candidates, _columns, _crossing_law, _trade_prob
 from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
 from .swap import _swap_weights
 
@@ -243,6 +243,8 @@ def _swap_moves(space: EnumeratedSpace, rows):
 
 
 def _curveball_moves(space: EnumeratedSpace, rows):
+    # every outcome of `curveball._draw_split`: k crossing columns with
+    # probability P(k), then each pair of k-subsets equally likely
     weights = space.weights
     inv_pairs = 1.0 / (weights.m * (weights.m - 1) // 2)
     for i, ip in itertools.combinations(range(weights.m), 2):
@@ -250,18 +252,18 @@ def _curveball_moves(space: EnumeratedSpace, rows):
         if not cand_a or not cand_b:
             yield inv_pairs, None, 0.0
             continue
-        cand_i = _columns(cand_a)
-        pool = cand_i + _columns(cand_b)
-        inv_splits = inv_pairs / math.comb(len(pool), len(cand_i))
-        for head in itertools.combinations(pool, len(cand_i)):
-            gained_i, gained_ip = _split(cand_i, head)
-            if not gained_i:  # the identity trade
-                yield inv_splits, None, 0.0
-                continue
-            # candidates carry positive weights, so the target is a state
-            moved = sum(1 << j for j in gained_i + gained_ip)
-            yield (inv_splits, _target_index(space, rows, i, ip, moved),
-                   _trade_prob(weights._log_rows, i, ip, gained_i, gained_ip))
+        cand_i, cand_ip = _columns(cand_a), _columns(cand_b)
+        a, b = len(cand_i), len(cand_ip)
+        law = _crossing_law(a, b)
+        yield inv_pairs * law[0], None, 0.0  # the identity trade
+        for k in range(1, len(law)):
+            share = inv_pairs * law[k] / (math.comb(a, k) * math.comb(b, k))
+            for gained_ip in itertools.combinations(cand_i, k):
+                for gained_i in itertools.combinations(cand_ip, k):
+                    # candidates carry positive weights, so the target is a state
+                    moved = sum(1 << j for j in gained_i + gained_ip)
+                    yield (share, _target_index(space, rows, i, ip, moved),
+                           _trade_prob(weights._log_rows, i, ip, gained_i, gained_ip))
 
 
 def balance_residual(space: EnumeratedSpace, algorithm: str) -> float:

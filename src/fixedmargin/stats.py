@@ -73,8 +73,10 @@ def c_score(matrix: BinaryMatrix) -> float:
     m = matrix.m
     if m < 2:
         raise ValueError("the C-score needs at least two rows")
-    ent = matrix.entries.astype(np.int64)
-    shared = ent @ ent.T
+    # a float64 product runs on BLAS and is exact: every count is an integer
+    # no larger than n < 2**53
+    ent = matrix.entries.astype(np.float64)
+    shared = (ent @ ent.T).astype(np.int64)
     r = matrix.row_sums
     left = r[:, None] - shared
     right = r[None, :] - shared

@@ -1,5 +1,7 @@
 """Chain harness: configs, determinism, ensembles, and the input generators."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -241,7 +243,7 @@ def test_ensemble_caps_its_worker_processes(monkeypatch, alternating_weights,
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(chains, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(chains.os, "cpu_count", lambda: cpus)
     config = ChainConfig(burn_in=5, thin=2, retained=10, seed=3)
     traces = run_ensemble(BinaryMatrix.identity(3), alternating_weights, config,
@@ -258,7 +260,7 @@ def test_ensemble_checks_its_start_before_any_worker_starts(monkeypatch):
     def no_pool(max_workers):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(chains, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(chains.os, "cpu_count", lambda: 2)
     with pytest.raises(CompatibilityError):
         run_ensemble(BinaryMatrix.identity(2), WeightMatrix([[0.0, 1.0], [1.0, 1.0]]),

@@ -5,6 +5,7 @@ the JSON report on stdout, the files it names, and the exit code.  A
 single subprocess test covers the `python -m` route.
 """
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -279,7 +280,7 @@ def test_square_statistic_on_rectangle_is_refused_before_any_work(monkeypatch, t
         def map(self, fn, jobs):
             return list(map(fn, jobs))
 
-    monkeypatch.setattr(chains, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(chains.os, "cpu_count", lambda: 2)
     matrix, weights = rect_files
     code = main(["sample", matrix, "--weights", weights, "--out", str(tmp_path / "run")] + extra)

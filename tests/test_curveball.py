@@ -1,6 +1,8 @@
 """Trade acceptance values, split uniformity, and curveball chain safety."""
 
 from collections import Counter
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fixedmargin import (
     swap_probability,
     trade_probability,
 )
+from fixedmargin.curveball import _crossing_law, _cuts
 
 
 def ones_matrix(m, n, cells):
@@ -139,6 +142,39 @@ def test_splits_are_uniform_over_all_head_choices():
     assert len(tallies) == 10
     result = scipy.stats.chisquare(list(tallies.values()))
     assert result.pvalue > 0.001
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 5), (2, 3), (4, 4), (7, 2), (6, 9), (12, 12)])
+def test_split_crosses_k_columns_with_the_hypergeometric_law(a, b):
+    # the draw maps a uniform c to k = min(a, b) - #(cuts <= c), so k takes
+    # the interval between two cuts, and k = 0 the rest of [0, 1)
+    law = [Fraction(comb(a, k) * comb(b, k), comb(a + b, a)) for k in range(min(a, b) + 1)]
+    assert sum(law) == 1
+    assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(_crossing_law(a, b), law, strict=True))
+    bounds = [0.0] + _cuts(a, b) + [1.0]
+    drawn = [hi - lo for lo, hi in zip(bounds, bounds[1:])][::-1]
+    assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(drawn, law, strict=True))
+
+
+def test_a_pool_of_over_a_thousand_columns_splits_by_its_law():
+    # rows owning 400 and 750 columns of their own pool 1,150 candidates; the
+    # number k of crossing columns has mean ab / (a + b) and variance
+    # (ab)^2 / ((a + b)^2 (a + b - 1))
+    a, b = 400, 750
+    ent = np.zeros((2, a + b), dtype=np.int8)
+    ent[0, :a] = 1
+    ent[1, a:] = 1
+    w = WeightMatrix.all_ones(2, a + b)
+    rng = np.random.default_rng(1100)
+    state = BinaryMatrix(ent)
+    assert curveball_step(state, w, rng) in ("traded", "rejected")
+    state.validate()
+    draws = 200
+    ks = [len(propose_trade(BinaryMatrix(ent), w, rng, rows=(0, 1)).moved_to_i)
+          for _ in range(draws)]
+    mean = a * b / (a + b)
+    sd = a * b / ((a + b) * (a + b - 1) ** 0.5)
+    assert abs(np.mean(ks) - mean) < 5 * sd / draws ** 0.5
 
 
 def test_propose_trade_requires_two_rows():

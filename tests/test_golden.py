@@ -56,7 +56,7 @@ def test_toy_space_trace_is_pinned(algorithm, counters, digest):
 
 @pytest.mark.parametrize("algorithm, counters, digest", [
     ("swap", (302_000, 148_635, 120_578, 32_787), "ea1136ee857c6392"),
-    ("curveball", (302_000, 12_316, 231_904, 57_780), "57cc7110a4ddd01e"),
+    ("curveball", (302_000, 12_385, 231_470, 58_145), "6b7bc1f68c6e623c"),
 ])
 def test_weighted_20x20_trace_is_pinned(algorithm, counters, digest):
     rng = np.random.default_rng(2020)
@@ -86,9 +86,9 @@ def test_public_step_functions_are_pinned():
         h.update(repr((propose_swap(state, weights, rng),
                        propose_trade(state, weights, rng))).encode())
     state.validate()
-    assert hashlib.sha256(" ".join(outcomes).encode()).hexdigest()[:16] == "c68723fce06c4719"
+    assert hashlib.sha256(" ".join(outcomes).encode()).hexdigest()[:16] == "da0a1a992bd066f5"
     # h also hashes the reported acceptance floats, so it pins their last bits
-    assert h.hexdigest()[:16] == "ae6e1dd6090e7acb"
+    assert h.hexdigest()[:16] == "5b8554599381179e"
 
 
 # -- CLI bytes ----------------------------------------------------------------
@@ -133,7 +133,7 @@ def _cli_digest(tmp_path, capsys, argv, inputs) -> tuple[int, str]:
     (["sample", "{tmp}/m.txt", "--weights", "{tmp}/w.txt", "--algorithm", "curveball",
       "--chains", "2", "--burn-in", "20", "--thin", "3", "--samples", "12", "--seed", "5",
       "--stats", "diag-divergence,c-score", "--keep-matrices", "--out", "{tmp}/out"],
-     {"m.txt": ZERO_PAIR_MATRIX, "w.txt": ZERO_PAIR_WEIGHTS}, (0, "bf69800bae581a58")),
+     {"m.txt": ZERO_PAIR_MATRIX, "w.txt": ZERO_PAIR_WEIGHTS}, (0, "b594d04b65a46978")),
     (["nullmodel", "{tmp}/m.txt", "--weights", "{tmp}/w.txt", "--algorithm", "swap",
       "--burn-in", "50", "--thin", "4", "--samples", "120", "--seed", "3",
       "--out", "{tmp}/out"],
@@ -204,9 +204,9 @@ def _oracle_digest(spaces, algorithm) -> tuple[int, str]:
     ("toy", "swap", (0, "58686a508c43fb27")),
     ("toy", "curveball", (0, "0d6f95cdf965bbef")),
     ("zero-patterns", "swap", (2, "7a8040515781380b")),
-    ("zero-patterns", "curveball", (2, "04a685cd77afbcfc")),
+    ("zero-patterns", "curveball", (2, "61d6363e4cd8d3e3")),
     ("two-margin-5x5", "swap", (0, "76cb1ad618cb5d87")),
-    ("two-margin-5x5", "curveball", (0, "4c8378d022882c48")),
+    ("two-margin-5x5", "curveball", (0, "f17bf2d06ef92316")),
 ])
 def test_oracle_graphs_are_pinned(name, algorithm, expected):
     assert _oracle_digest(ORACLE_SPACES[name](), algorithm) == expected

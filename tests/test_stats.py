@@ -93,6 +93,29 @@ def test_c_score_is_nonnegative_and_column_permutation_invariant():
         assert c_score(BinaryMatrix(ent[:, perm])) == pytest.approx(value, rel=1e-12)
 
 
+def _c_score_int64(entries) -> float:
+    # the C-score in exact int64 arithmetic, the way it was first computed
+    ent = np.asarray(entries, dtype=np.int64)
+    shared = ent @ ent.T
+    r = ent.sum(axis=1)
+    upper = np.triu((r[:, None] - shared) * (r[None, :] - shared), k=1)
+    return float(2.0 * upper.sum() / (ent.shape[0] * (ent.shape[0] - 1)))
+
+
+def test_c_score_equals_the_int64_computation_bit_for_bit():
+    rng = np.random.default_rng(5150)
+    shapes = [(2, 1), (120, 120)] + [(int(rng.integers(2, 121)), int(rng.integers(1, 121)))
+                                     for _ in range(40)]
+    for m, n in shapes:
+        ent = (rng.random((m, n)) < rng.random()).astype(np.int8)
+        ent[rng.random(m) < 0.1] = 0  # all-zero rows
+        ent[rng.random(m) < 0.1] = 1  # all-one rows
+        assert c_score(BinaryMatrix(ent)) == _c_score_int64(ent), (m, n)
+    for fill in (0, 1):
+        ent = np.full((5, 7), fill, dtype=np.int8)
+        assert c_score(BinaryMatrix(ent)) == _c_score_int64(ent) == 0.0
+
+
 def test_c_score_needs_two_rows():
     with pytest.raises(ValueError, match="two rows"):
         c_score(BinaryMatrix([[1, 0, 1]]))
