@@ -709,3 +709,19 @@ def test_module_execution_shows_help():
                           capture_output=True, timeout=60)
     assert proc.returncode == 0
     assert b"sample" in proc.stdout and b"enumerate" in proc.stdout
+
+
+def test_the_cli_loads_no_process_pool_until_workers_start():
+    # run_ensemble imports the pool inside its worker branch, so a start
+    # that runs no workers pays nothing for concurrent.futures
+    src = str(Path(fixedmargin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    script = ("import sys\n"
+              "from fixedmargin.cli import main\n"
+              "main(['verify', '--rows', '1,1', '--cols', '1,1'])\n"
+              "print('concurrent.futures' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().split("\n")[-1] == "False"
