@@ -140,7 +140,8 @@ def _draw_split(cand_i: list[int], cand_ip: list[int], u, memo: dict) -> tuple[l
     if not k:
         return [], []
     gained_ip = _pick(cand_i, k, u)
-    return _pick(cand_ip, k, u), gained_ip
+    gained_i = _pick(cand_ip, k, u)
+    return gained_i, gained_ip
 
 
 def _trade_prob(log_rows, i, ip, gained_i, gained_ip) -> float:
