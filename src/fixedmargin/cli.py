@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import (ChainConfig, ImmobileChainWarning, Trace, check_start,
+from .chains import (ALGORITHMS, ChainConfig, ImmobileChainWarning, Trace, check_start,
                      load_chain_config, run_chain, run_ensemble)
 from .matrices import (
     BinaryMatrix,
@@ -337,7 +337,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     row_sums, col_sums, weights = _resolve_margins(args)
     space = enumerate_space(row_sums, col_sums, weights, cap=args.cap)
-    algorithms = ["swap", "curveball"] if args.algorithm == "both" else [args.algorithm]
+    algorithms = list(ALGORITHMS) if args.algorithm == "both" else [args.algorithm]
     report = {
         "command": "verify",
         "rows": row_sums,
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="run chains and write statistic traces")
     p.add_argument("matrix", help="binary matrix file; start state and margins")
     _add_weight_options(p)
-    p.add_argument("--algorithm", choices=("swap", "curveball"))
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--burn-in", type=int, dest="burn_in", metavar="N")
     p.add_argument("--thin", type=int, metavar="N")
     p.add_argument("--samples", type=int, metavar="N",
@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check exact kernels against the target law")
     _add_margin_inputs(p)
-    p.add_argument("--algorithm", choices=("swap", "curveball", "both"), default="both")
+    p.add_argument("--algorithm", choices=ALGORITHMS + ("both",), default="both")
     p.add_argument("--cap", type=int, default=2_000, metavar="N",
                    help="refuse spaces larger than this many states")
     p.add_argument("--tolerance", type=float, default=1e-12, metavar="T",
@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="observed binary matrix file")
     _add_weight_options(p)
     p.add_argument("--statistic", default="c-score", metavar="NAME")
-    p.add_argument("--algorithm", choices=("swap", "curveball"), default="curveball")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="curveball")
     p.add_argument("--burn-in", type=int, dest="burn_in", default=1_000, metavar="N")
     p.add_argument("--thin", type=int, default=500, metavar="N")
     p.add_argument("--samples", type=int, default=5_000, metavar="N")

@@ -23,6 +23,7 @@ single swaps on most inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, trunc
 
 from ._streams import UniformStream, draw_pair
@@ -33,7 +34,6 @@ REJECTED = "rejected"
 TRADED = "traded"
 
 _OUTCOMES = (NO_TRADE, REJECTED, TRADED)
-_MEMO_SIZE = 1024  # pool sizes whose cut points a stepper keeps
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,15 @@ def _columns(mask: int) -> list[int]:
     return cols
 
 
-def _crossing_law(a: int, b: int) -> list[float]:
+@lru_cache(maxsize=1024)  # pool sizes give up to n**2 / 4 keys
+def _crossing_law(a: int, b: int) -> tuple[float, ...]:
     """P(k) for k = 0..min(a, b): the chance that a uniform split crosses k columns each way.
 
     A uniform split leaves row i a uniform a-subset of the a + b pooled
     candidates, k of them from row i', with the hypergeometric probability
     C(a, k) C(b, k) / C(a + b, a).  Each value is that ratio of exact
-    integers, correctly rounded, so no pool is too large for it.
+    integers, correctly rounded, so no pool is too large for it.  It is the
+    one copy of the law; the draw and the oracle read it from the cache.
     """
     k = min(a, b)
     total = comb(a + b, a)
@@ -87,19 +89,9 @@ def _crossing_law(a: int, b: int) -> list[float]:
     while True:
         law[k] = count / total
         if not k:
-            return law
+            return tuple(law)
         count = count * k * k // ((a - k + 1) * (b - k + 1))
         k -= 1
-
-
-def _cuts(a: int, b: int) -> list[float]:
-    # the draw's cut points: P(K), P(K) + P(K - 1), ... down to k = 1, with
-    # K = min(a, b); a uniform below the first cut crosses K columns
-    cuts, total = [], 0.0
-    for p in _crossing_law(a, b)[:0:-1]:
-        total += p
-        cuts.append(total)
-    return cuts
 
 
 def _pick(cols: list[int], k: int, u) -> list[int]:
@@ -115,28 +107,22 @@ def _pick(cols: list[int], k: int, u) -> list[int]:
     return cols
 
 
-def _draw_split(cand_i: list[int], cand_ip: list[int], u, memo: dict) -> tuple[list[int], list[int]]:
+def _draw_split(cand_i: list[int], cand_ip: list[int], u) -> tuple[list[int], list[int]]:
     """A uniform split of the pooled candidates, as the columns each row gains.
 
     Draws the number k of crossing columns by inverting `_crossing_law` from
     k = min(a, b) down with one uniform, then k of each row's candidates to
     hand over: at most 1 + 2k uniforms, where a shuffle of the pool takes
-    a + b - 1.  Both lists are sorted, and both empty for the identity split.
-    `memo` keeps the cut points per pool size for its owner; the candidate
-    lists are reordered.
+    a + b - 1.  Both lists are sorted, and both empty for the identity
+    split; the candidate lists are reordered.
     """
-    a, b = len(cand_i), len(cand_ip)
-    cuts = memo.get((a, b))
-    if cuts is None:
-        cuts = _cuts(a, b)
-        if len(memo) < _MEMO_SIZE:
-            memo[a, b] = cuts
-    k = min(a, b)
+    law = _crossing_law(len(cand_i), len(cand_ip))
+    k = len(law) - 1
     c = u()
-    for cut in cuts:
-        if c < cut:
-            break
+    cut = law[k]
+    while k and c >= cut:
         k -= 1
+        cut += law[k]
     if not k:
         return [], []
     gained_ip = _pick(cand_i, k, u)
@@ -148,10 +134,8 @@ def _trade_prob(log_rows, i, ip, gained_i, gained_ip) -> float:
     # empty move sets mean an identity trade, accepted outright
     if not gained_i:
         return 1.0
-    l_i = log_rows[i]
-    l_ip = log_rows[ip]
-    s_new = 0.0
-    s_old = 0.0
+    l_i, l_ip = log_rows[i], log_rows[ip]
+    s_new = s_old = 0.0
     for j in gained_i:
         s_new += l_i[j]
         s_old += l_ip[j]
@@ -170,14 +154,19 @@ def trade_probability(weights: WeightMatrix, i: int, i_prime: int, moved_to_i, m
     the candidate construction guarantees for proposals drawn in-sampler.
     Empty sets are the identity trade and return 1.
     """
+    m, n = weights.m, weights.n
+    if not (0 <= i < m and 0 <= i_prime < m) or i == i_prime:
+        raise ValueError(f"row pair must be two distinct rows in 0..{m - 1}, got {(i, i_prime)}")
     gi = sorted(moved_to_i)
     gip = sorted(moved_to_i_prime)
     if len(gi) != len(gip):
         raise ValueError("a trade moves equally many columns in each direction")
-    if set(gi) & set(gip):
-        raise ValueError("a column cannot move in both directions")
+    if len(set(gi + gip)) < 2 * len(gi):
+        raise ValueError("a column moves once: not twice, nor in both directions")
     both = weights._pos_masks[i] & weights._pos_masks[i_prime]
     for j in gi + gip:
+        if not 0 <= j < n:
+            raise ValueError(f"column {j} is not in 0..{n - 1}")
         if not both >> j & 1:
             raise ValueError(f"column {j} touches a zero weight; not a valid trade")
     return _trade_prob(weights._log_rows, i, i_prime, gi, gip)
@@ -190,7 +179,7 @@ def _stepper(rows, pos_masks, log_rows, u):
     columns in both rows' bitsets, in place.
     """
     m = len(rows)
-    memo: dict = {}
+    half = _crossing_law(1, 1)[1]
 
     def step() -> int:
         a, b = draw_pair(m, u)
@@ -199,14 +188,14 @@ def _stepper(rows, pos_masks, log_rows, u):
             return 0
         if not (cand_a & (cand_a - 1) or cand_b & (cand_b - 1)):
             # a two-column pool: the draw of k is its only draw, and crosses
-            # below 1/2, exactly as `_draw_split` would
-            if trunc(u() * 2):
+            # below P(1) = 1/2, exactly as `_draw_split` would
+            if u() >= half:
                 return 2
             gained_a = [cand_b.bit_length() - 1]
             gained_b = [cand_a.bit_length() - 1]
             moved = cand_a | cand_b
         else:
-            gained_a, gained_b = _draw_split(_columns(cand_a), _columns(cand_b), u, memo)
+            gained_a, gained_b = _draw_split(_columns(cand_a), _columns(cand_b), u)
             if not gained_a:
                 return 2
             moved = 0
@@ -242,7 +231,7 @@ def propose_trade(state: BinaryMatrix, weights: WeightMatrix, rng, rows=None) ->
     if not cand_a or not cand_b:
         return None
     cand_i, cand_ip = tuple(_columns(cand_a)), tuple(_columns(cand_b))
-    gained_i, gained_ip = _draw_split(list(cand_i), list(cand_ip), u, {})
+    gained_i, gained_ip = _draw_split(list(cand_i), list(cand_ip), u)
     return TradeProposal(
         rows=(a, b),
         candidates_i=cand_i,

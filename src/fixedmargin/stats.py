@@ -78,10 +78,10 @@ def c_score(matrix: BinaryMatrix) -> float:
     ent = matrix.entries.astype(np.float64)
     shared = (ent @ ent.T).astype(np.int64)
     r = matrix.row_sums
-    left = r[:, None] - shared
-    right = r[None, :] - shared
-    upper = np.triu(left * right, k=1)
-    return float(2.0 * upper.sum() / (m * (m - 1)))
+    # summed over all (i, j) the terms come to (sum r)^2 - 2 r.(S 1) + |S|_F^2;
+    # the diagonal ones, (r_i - S_ii)^2, are 0, so that is twice the i < j sum
+    total = int(r.sum()) ** 2 - 2 * int(r @ shared.sum(axis=1)) + int(np.vdot(shared, shared))
+    return total / (m * (m - 1))
 
 
 STATISTICS: dict[str, StatisticDef] = {

@@ -55,10 +55,14 @@ def _swap_weights(rows, log_rows, i: int, j: int, i_prime: int, j_prime: int):
 def swap_probability(weights: WeightMatrix, i: int, j: int, i_prime: int, j_prime: int) -> float:
     """Acceptance probability for swapping 1s at (i, j), (i', j') to (i, j'), (i', j).
 
-    Requires distinct rows and distinct columns.  Raises ValueError when both
-    the current and the swapped cell pairs have zero weight (a 0/0 ratio,
-    unreachable from any matrix that is compatible with the weights).
+    Requires distinct rows and distinct columns inside the matrix, never
+    counted from its end.  Raises ValueError when both the current and the
+    swapped cell pairs have zero weight (a 0/0 ratio, unreachable from any
+    matrix that is compatible with the weights).
     """
+    m, n = weights.m, weights.n
+    if not (0 <= i < m and 0 <= i_prime < m and 0 <= j < n and 0 <= j_prime < n):
+        raise ValueError(f"swap cells must lie in rows 0..{m - 1} and columns 0..{n - 1}")
     # in an otherwise empty matrix only a shared row or column breaks the checkerboard
     d = _swap_weights([0] * weights.m, weights._log_rows, i, j, i_prime, j_prime)
     if d is None:

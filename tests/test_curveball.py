@@ -2,7 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import chain, repeat
+from math import comb, nextafter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fixedmargin import (
     swap_probability,
     trade_probability,
 )
-from fixedmargin.curveball import _crossing_law, _cuts
+from fixedmargin.curveball import _crossing_law, _draw_split, _stepper
 
 
 def ones_matrix(m, n, cells):
@@ -67,9 +68,22 @@ def test_trade_probability_validates_inputs():
         trade_probability(w, 0, 1, [0, 1], [2])
     with pytest.raises(ValueError, match="both directions"):
         trade_probability(w, 0, 1, [0], [0])
+    with pytest.raises(ValueError, match="twice"):
+        trade_probability(w, 0, 1, [2, 2], [3, 1])
+    with pytest.raises(ValueError, match="twice"):
+        trade_probability(w, 0, 1, [0, 1], [3, 3])
     zero = WeightMatrix([[1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="zero weight"):
         trade_probability(zero, 0, 1, [1], [0])
+    # rows and columns are indices into the matrix, never counted from its end
+    for i, ip in [(0, 0), (2, 2), (-1, 0), (0, -1), (3, 0), (0, 3)]:
+        with pytest.raises(ValueError, match="distinct rows in 0..2"):
+            trade_probability(w, i, ip, [0], [1])
+    for cols in ([-1], [4]):
+        with pytest.raises(ValueError, match="not in 0..3"):
+            trade_probability(w, 0, 1, cols, [2])
+        with pytest.raises(ValueError, match="not in 0..3"):
+            trade_probability(w, 0, 1, [2], cols)
 
 
 def test_trade_probabilities_of_the_two_directions_sum_to_one():
@@ -146,14 +160,73 @@ def test_splits_are_uniform_over_all_head_choices():
 
 @pytest.mark.parametrize("a, b", [(1, 1), (1, 5), (2, 3), (4, 4), (7, 2), (6, 9), (12, 12)])
 def test_split_crosses_k_columns_with_the_hypergeometric_law(a, b):
-    # the draw maps a uniform c to k = min(a, b) - #(cuts <= c), so k takes
-    # the interval between two cuts, and k = 0 the rest of [0, 1)
+    # the draw's first uniform c gives k = K = min(a, b) below the cut P(K),
+    # K - 1 from there up to P(K) + P(K - 1), and so on, and k = 0 above the
+    # last cut; probe each cut just below and at it
     law = [Fraction(comb(a, k) * comb(b, k), comb(a + b, a)) for k in range(min(a, b) + 1)]
     assert sum(law) == 1
     assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(_crossing_law(a, b), law, strict=True))
-    bounds = [0.0] + _cuts(a, b) + [1.0]
-    drawn = [hi - lo for lo, hi in zip(bounds, bounds[1:])][::-1]
+
+    def crossed(c):
+        u = chain([c], repeat(0.5)).__next__
+        gained_i, gained_ip = _draw_split(list(range(a)), list(range(a, a + b)), u)
+        assert len(gained_i) == len(gained_ip)
+        return len(gained_i)
+
+    bounds, cut = [0.0], 0.0
+    for k in range(min(a, b), 0, -1):
+        cut += _crossing_law(a, b)[k]
+        assert crossed(nextafter(cut, 0.0)) == k
+        assert crossed(cut) == k - 1
+        bounds.append(cut)
+    assert crossed(nextafter(1.0, 0.0)) == 0
+    drawn = [hi - lo for lo, hi in zip(bounds, bounds[1:] + [1.0])][::-1]
     assert all(abs(p - float(q)) <= 1e-15 for p, q in zip(drawn, law, strict=True))
+
+
+@pytest.mark.parametrize("c", [nextafter(0.5, 0.0), 0.5])
+def test_two_column_fast_path_draws_as_the_split_does(c):
+    # rows {0} and {1} pool two columns, which the stepper splits without
+    # `_draw_split`; with the same uniforms both must make the same trade
+    # and draw as many uniforms for it
+    drawn = []
+
+    def scripted(values):
+        values = iter(values)
+
+        def u():
+            drawn.append(None)
+            return next(values)
+        return u
+
+    rows = [0b01, 0b10]
+    w = WeightMatrix.all_ones(2, 2)
+    # the pair draw takes two uniforms, (0.0, 0.0) -> rows (0, 1), and an
+    # accepting uniform 0.0 follows a proposal that moves columns
+    assert _stepper(rows, w._pos_masks, w._log_rows, scripted([0.0, 0.0, c, 0.0]))() == 2
+    by_step = len(drawn)
+    drawn.clear()
+    gained_0, gained_1 = _draw_split([0], [1], scripted([c]))
+    moved = sum(1 << j for j in gained_0 + gained_1)
+    assert rows == [0b01 ^ moved, 0b10 ^ moved]
+    assert by_step == 2 + len(drawn) + (1 if moved else 0)
+    assert bool(moved) == (c < 0.5)
+
+
+def test_the_crossing_law_is_cached_across_public_calls():
+    # a second proposal on a pool size already drawn reads the law from the
+    # process cache instead of rebuilding it
+    a, b = 400, 750
+    ent = np.zeros((2, a + b), dtype=np.int8)
+    ent[0, :a] = 1
+    ent[1, a:] = 1
+    state, w = BinaryMatrix(ent), WeightMatrix.all_ones(2, a + b)
+    rng = np.random.default_rng(7)
+    propose_trade(state, w, rng, rows=(0, 1))
+    hits = _crossing_law.cache_info().hits
+    propose_trade(state, w, rng, rows=(0, 1))
+    assert _crossing_law.cache_info().hits > hits
+    assert isinstance(_crossing_law(a, b), tuple)
 
 
 def test_a_pool_of_over_a_thousand_columns_splits_by_its_law():

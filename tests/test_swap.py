@@ -50,6 +50,12 @@ def test_swap_probability_rejects_degenerate_pairs():
     both_zero = WeightMatrix([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="zero weight"):
         swap_probability(both_zero, 0, 0, 1, 1)
+    # indices are never counted from the end of the matrix
+    w = WeightMatrix.all_ones(4, 5)
+    for cells in [(-1, 0, 0, 1), (0, -1, 1, 0), (0, 0, -1, 1), (0, 0, 1, -1),
+                  (4, 0, 0, 1), (0, 5, 1, 0), (0, 0, 4, 1), (0, 0, 1, 5)]:
+        with pytest.raises(ValueError, match=r"rows 0\.\.3 and columns 0\.\.4"):
+            swap_probability(w, *cells)
 
 
 def test_swap_probabilities_of_the_two_directions_sum_to_one():
