@@ -79,8 +79,7 @@ def _crossing_law(a: int, b: int) -> tuple[float, ...]:
     A uniform split leaves row i a uniform a-subset of the a + b pooled
     candidates, k of them from row i', with the hypergeometric probability
     C(a, k) C(b, k) / C(a + b, a).  Each value is that ratio of exact
-    integers, correctly rounded, so no pool is too large for it.  It is the
-    one copy of the law; the draw and the oracle read it from the cache.
+    integers, correctly rounded, so no pool is too large for it.
     """
     k = min(a, b)
     total = comb(a + b, a)
@@ -134,8 +133,10 @@ def _trade_prob(log_rows, i, ip, gained_i, gained_ip) -> float:
     # empty move sets mean an identity trade, accepted outright
     if not gained_i:
         return 1.0
-    l_i, l_ip = log_rows[i], log_rows[ip]
-    s_new = s_old = 0.0
+    l_i = log_rows[i]
+    l_ip = log_rows[ip]
+    s_new = 0.0
+    s_old = 0.0
     for j in gained_i:
         s_new += l_i[j]
         s_old += l_ip[j]

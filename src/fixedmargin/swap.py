@@ -64,7 +64,7 @@ def swap_probability(weights: WeightMatrix, i: int, j: int, i_prime: int, j_prim
     if not (0 <= i < m and 0 <= i_prime < m and 0 <= j < n and 0 <= j_prime < n):
         raise ValueError(f"swap cells must lie in rows 0..{m - 1} and columns 0..{n - 1}")
     # in an otherwise empty matrix only a shared row or column breaks the checkerboard
-    d = _swap_weights([0] * weights.m, weights._log_rows, i, j, i_prime, j_prime)
+    d = _swap_weights([0] * m, weights._log_rows, i, j, i_prime, j_prime)
     if d is None:
         raise ValueError("swap cells must occupy distinct rows and distinct columns")
     if d != d:  # NaN, from -inf - -inf: both pairs hold a zero weight
