@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import curveball, swap
 from ._streams import UniformStream
-from .matrices import BinaryMatrix, WeightMatrix, require_compatible
+from .matrices import BinaryMatrix, WeightMatrix, _cells, require_compatible
 from .stats import get_statistic
 
 ALGORITHMS = ("swap", "curveball")
@@ -92,7 +92,8 @@ def check_start(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfi
     """Raise if a chain of `config` cannot start at `initial`; else why it never moves, or None.
 
     A 1 on a zero weight raises CompatibilityError; a square-only statistic
-    on a non-square matrix, or curveball on fewer than two rows, ValueError.
+    on a non-square matrix, curveball on fewer than two rows, or a statistic
+    undefined at the start, and so on every state of its margins, ValueError.
     """
     require_compatible(initial, weights)
     for name in config.statistics:
@@ -102,6 +103,8 @@ def check_start(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfi
             )
     if config.algorithm == "curveball" and initial.m < 2:
         raise ValueError("curveball needs at least two rows")
+    for name in config.statistics:
+        get_statistic(name).func(initial)
     if config.algorithm == "swap" and len(initial.ones) < 2:
         return "swap chain on a matrix with fewer than two 1s can never move"
     return None
@@ -131,8 +134,7 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
     if config.algorithm == "curveball":
         step = curveball._stepper(rows, weights._pos_masks, weights._log_rows, u)
     else:
-        # sorted: the row-major slot order of a fresh matrix, whatever steps moved `initial`
-        step = swap._stepper(rows, sorted(initial.ones), weights._log_rows, u)
+        step = swap._stepper(rows, _cells(rows), weights._log_rows, u)
 
     counts = [0, 0, 0]
     recorders = [(stat.name, stat.func, []) for stat in stat_defs]
@@ -273,7 +275,9 @@ def random_binary_matrix(m: int, n: int, density: float, rng=None,
 
 # -- config files --------------------------------------------------------------
 
-_CONFIG_KEYS = ("algorithm", "burn_in", "thin", "retained", "seed", "statistics", "keep_matrices")
+def _name_list(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated list, stripped, without empty ones."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
 def load_chain_config(path) -> ChainConfig:
@@ -284,30 +288,23 @@ def load_chain_config(path) -> ChainConfig:
     starting with '#' and blank lines are ignored.  Missing keys take the
     ChainConfig defaults.
     """
+    kinds = {field.name: type(field.default) for field in fields(ChainConfig)}
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
+            key, equals, raw = (part.strip() for part in stripped.partition("="))
+            if not equals:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}"
-                )
-            if key in ("burn_in", "thin", "retained", "seed"):
-                values[key] = int(raw)
-            elif key == "statistics":
-                values[key] = tuple(s.strip() for s in raw.split(",") if s.strip())
-            elif key == "keep_matrices":
-                lowered = raw.lower()
-                if lowered not in ("true", "false", "1", "0"):
-                    raise ValueError(f"{path}:{lineno}: keep_matrices must be true/false/1/0")
-                values[key] = lowered in ("true", "1")
+            if key not in kinds:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"known keys: {', '.join(kinds)}")
+            if kinds[key] is bool:
+                if raw.lower() not in ("true", "false", "1", "0"):
+                    raise ValueError(f"{path}:{lineno}: {key} must be true/false/1/0")
+                values[key] = raw.lower() in ("true", "1")
             else:
-                values[key] = raw
+                values[key] = (_name_list if kinds[key] is tuple else kinds[key])(raw)
     return ChainConfig(**values)

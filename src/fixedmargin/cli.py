@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import (ALGORITHMS, ChainConfig, ImmobileChainWarning, Trace, check_start,
-                     load_chain_config, run_chain, run_ensemble)
+from .chains import (ALGORITHMS, ChainConfig, ImmobileChainWarning, Trace, _name_list,
+                     check_start, load_chain_config, run_chain, run_ensemble)
 from .matrices import (
     BinaryMatrix,
     CompatibilityError,
@@ -253,7 +253,7 @@ def _chain_entry(trace: Trace, trace_file: Path,
 
 
 def _encode_state(matrix: BinaryMatrix) -> str:
-    return "/".join("".join(str(int(v)) for v in row) for row in matrix.entries)
+    return "/".join(format(row, f"0{matrix.n}b")[::-1] for row in matrix._rows)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -271,8 +271,7 @@ def cmd_sample(args) -> int:
         "retained": args.samples,
         "seed": args.seed,
         "keep_matrices": True if args.keep_matrices else None,
-        "statistics": (tuple(s.strip() for s in args.stats.split(",") if s.strip())
-                       if args.stats is not None else None),
+        "statistics": _name_list(args.stats) if args.stats is not None else None,
     }
     config = replace(base, **{k: v for k, v in overrides.items() if v is not None})
     if not config.statistics:
@@ -421,18 +420,9 @@ def cmd_nullmodel(args) -> int:
     csv_path = out_dir / f"null-{args.statistic}.csv"
     _write_trace_csv(csv_path, observed, trace, kind="nullmodel")
 
-    echo = {
-        "algorithm": config.algorithm,
-        "burn_in": config.burn_in,
-        "thin": config.thin,
-        "retained": config.retained,
-        "seed": config.seed,
-        "statistic": args.statistic,
-        "tail": args.tail,
-        "weights": args.weights,
-        "weight_power": args.weight_power,
-        "out": str(out_dir),
-    }
+    echo = {k: v for k, v in asdict(config).items() if k not in ("statistics", "keep_matrices")}
+    echo.update(statistic=args.statistic, tail=args.tail, weights=args.weights,
+                weight_power=args.weight_power, out=str(out_dir))
     result = {
         "statistic": args.statistic,
         "observed": float(observed_value),
@@ -535,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
             raise _UsageError("a command is required")
-        for option in ("jobs", "cap", "tolerance"):
+        for option in ("chains", "jobs", "cap", "tolerance"):
             value = getattr(args, option, None)
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise _UsageError(f"--{option} must be finite and above 0, got {value}")

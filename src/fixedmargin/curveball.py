@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, trunc
 
 from ._streams import UniformStream, draw_pair
-from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
+from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _columns
 
 NO_TRADE = "no-trade"
 REJECTED = "rejected"
@@ -59,17 +60,6 @@ def _candidates(rows, pos_masks, i: int, ip: int) -> tuple[int, int]:
     r_i = rows[i]
     r_ip = rows[ip]
     return r_i & ~r_ip & pos_masks[ip], r_ip & ~r_i & pos_masks[i]
-
-
-def _columns(mask: int) -> list[int]:
-    """Set bits of a column bitmask, ascending."""
-    cols = []
-    while mask:
-        j = mask.bit_length() - 1
-        cols.append(j)
-        mask ^= 1 << j
-    cols.reverse()
-    return cols
 
 
 @lru_cache(maxsize=1024)  # pool sizes give up to n**2 / 4 keys
@@ -209,6 +199,33 @@ def _stepper(rows, pos_masks, log_rows, u):
         return 1
 
     return step
+
+
+def _outcomes(rows, weights: WeightMatrix):
+    """Every outcome of one proposal from the state `rows`, as (share, i, i', moved, p).
+
+    For each of the C(m, 2) row pairs, the outcomes of `_draw_split`: k
+    crossing columns with probability P(k), then each pair of k-subsets
+    equally likely.  A trade flips the columns `moved` in rows i and i' with
+    probability p; moved is 0 for a no-trade or the identity trade.
+    """
+    m, log_rows = weights.m, weights._log_rows
+    inv_pairs = 1.0 / (m * (m - 1) // 2)
+    for i, ip in combinations(range(m), 2):
+        cand_a, cand_b = _candidates(rows, weights._pos_masks, i, ip)
+        if not cand_a or not cand_b:
+            yield inv_pairs, i, ip, 0, 0.0
+            continue
+        cand_i, cand_ip = _columns(cand_a), _columns(cand_b)
+        a, b = len(cand_i), len(cand_ip)
+        law = _crossing_law(a, b)
+        yield inv_pairs * law[0], i, ip, 0, 0.0  # the identity trade
+        for k in range(1, len(law)):
+            share = inv_pairs * law[k] / (comb(a, k) * comb(b, k))
+            for gained_ip in combinations(cand_i, k):
+                for gained_i in combinations(cand_ip, k):
+                    moved = sum(1 << j for j in gained_i + gained_ip)
+                    yield share, i, ip, moved, _trade_prob(log_rows, i, ip, gained_i, gained_ip)
 
 
 def propose_trade(state: BinaryMatrix, weights: WeightMatrix, rng, rows=None) -> TradeProposal | None:

@@ -82,8 +82,7 @@ class BinaryMatrix:
     @property
     def ones(self) -> list[tuple[int, int]]:
         if self._ones is None:
-            rows, cols = np.nonzero(self.entries)
-            self._ones = list(zip(rows.tolist(), cols.tolist()))
+            self._ones = _cells(self._rows)
         return self._ones
 
     @property
@@ -134,6 +133,22 @@ def _pack_rows(a: np.ndarray) -> list[int]:
     """One int per row of a 2-D boolean or 0/1 array, bit j set where column j is nonzero."""
     packed = np.packbits(a, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _columns(mask: int) -> list[int]:
+    """Set bits of a column bitmask, ascending."""
+    cols = []
+    while mask:
+        j = mask.bit_length() - 1
+        cols.append(j)
+        mask ^= 1 << j
+    cols.reverse()
+    return cols
+
+
+def _cells(rows) -> list[tuple[int, int]]:
+    """The (row, col) coordinates of the 1s of the row bitsets `rows`, row-major."""
+    return [(i, j) for i, row in enumerate(rows) for j in _columns(row)]
 
 
 def _accept_prob(d: float) -> float:
@@ -359,8 +374,8 @@ def write_binary_matrix(matrix: BinaryMatrix, path, header: str | None = None) -
         if header:
             for line in header.splitlines():
                 fh.write(f"# {line}\n")
-        for row in matrix.entries:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        for row in matrix._rows:
+            fh.write(" ".join(format(row, f"0{matrix.n}b")[::-1]) + "\n")
 
 
 def write_weight_matrix(weights: WeightMatrix, path, header: str | None = None) -> None:

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import curveball, swap
 from .chains import ALGORITHMS, Trace
-from .curveball import _candidates, _columns, _crossing_law, _trade_prob
-from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
-from .swap import _swap_weights
+from .matrices import BinaryMatrix, WeightMatrix, _columns
 
 
 class SpaceTooLargeError(RuntimeError):
@@ -171,8 +170,7 @@ def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
         raise ValueError("the curveball kernel needs at least two rows")
     graph = space._moves.get(algorithm)
     if graph is None:
-        build = _swap_moves if algorithm == "swap" else _curveball_moves
-        *columns, targets = _moves(space, build)
+        *columns, targets = _moves(space, (swap if algorithm == "swap" else curveball)._outcomes)
         columns = [np.frombuffer(column, dtype=column.typecode) for column in columns]
         for column in columns:
             column.flags.writeable = False  # every caller shares the cached graph
@@ -195,28 +193,29 @@ def exact_kernel(space: EnumeratedSpace, algorithm: str) -> np.ndarray:
     return kernel
 
 
-def _target_index(space: EnumeratedSpace, rows, i: int, ip: int, moved: int) -> int | None:
-    # index of the state reached by flipping the `moved` columns of rows i
-    # and i', or None when that matrix is not a state of the space
-    target = list(rows)
-    target[i] ^= moved
-    target[ip] ^= moved
-    return space._index.get(tuple(target))
-
-
-def _moves(space: EnumeratedSpace, proposals):
+def _moves(space: EnumeratedSpace, outcomes):
     """The move graph's columns and target lists, accumulated one proposal outcome at a time.
 
-    `proposals(space, rows)` yields every outcome of one proposal from the
-    state `rows`: its share of the proposal probability, the target state's
-    index (None for no move) and the acceptance probability (0.0 for no move).
-    The target lists share the index ints of `space._index`.
+    `outcomes` is a sampler's `_outcomes`.  An outcome moves nowhere, with
+    p = 0.0, when it flips nothing or its target is not a state: a swap
+    that lands a 1 on a zero weight.  The target lists share the index ints
+    of `space._index`.
     """
+    index, weights = space._index, space.weights
     src, dst, prob, stay, targets = array("q"), array("q"), array("d"), array("d"), []
     for s, state in enumerate(space.states):
+        rows = state._rows
         mass, out = 0.0, []
-        for share, t, p in proposals(space, state._rows):
-            if t is not None:
+        for share, i, ip, moved, p in outcomes(rows, weights):
+            t = None
+            if moved:
+                target = list(rows)
+                target[i] ^= moved
+                target[ip] ^= moved
+                t = index.get(tuple(target))
+            if t is None:
+                p = 0.0
+            else:
                 src.append(s)
                 dst.append(t)
                 prob.append(share * p)
@@ -225,45 +224,6 @@ def _moves(space: EnumeratedSpace, proposals):
         stay.append(mass)
         targets.append(out)
     return src, dst, prob, stay, targets
-
-
-def _swap_moves(space: EnumeratedSpace, rows):
-    ones = [(i, j) for i, row in enumerate(rows) for j in _columns(row)]
-    k = len(ones)
-    if k < 2:
-        yield 1.0, None, 0.0
-        return
-    inv_pairs = 1.0 / (k * (k - 1) // 2)
-    for (i, j), (ip, jp) in itertools.combinations(ones, 2):
-        # a pair that is no checkerboard, or whose swap lands a 1 on a
-        # zero weight, moves nowhere, as if always rejected
-        d = _swap_weights(rows, space.weights._log_rows, i, j, ip, jp)
-        t = None if d is None else _target_index(space, rows, i, ip, 1 << j | 1 << jp)
-        yield inv_pairs, t, 0.0 if t is None else _accept_prob(d)
-
-
-def _curveball_moves(space: EnumeratedSpace, rows):
-    # every outcome of `curveball._draw_split`: k crossing columns with
-    # probability P(k), then each pair of k-subsets equally likely
-    weights = space.weights
-    inv_pairs = 1.0 / (weights.m * (weights.m - 1) // 2)
-    for i, ip in itertools.combinations(range(weights.m), 2):
-        cand_a, cand_b = _candidates(rows, weights._pos_masks, i, ip)
-        if not cand_a or not cand_b:
-            yield inv_pairs, None, 0.0
-            continue
-        cand_i, cand_ip = _columns(cand_a), _columns(cand_b)
-        a, b = len(cand_i), len(cand_ip)
-        law = _crossing_law(a, b)
-        yield inv_pairs * law[0], None, 0.0  # the identity trade
-        for k in range(1, len(law)):
-            share = inv_pairs * law[k] / (math.comb(a, k) * math.comb(b, k))
-            for gained_ip in itertools.combinations(cand_i, k):
-                for gained_i in itertools.combinations(cand_ip, k):
-                    # candidates carry positive weights, so the target is a state
-                    moved = sum(1 << j for j in gained_i + gained_ip)
-                    yield (share, _target_index(space, rows, i, ip, moved),
-                           _trade_prob(weights._log_rows, i, ip, gained_i, gained_ip))
 
 
 def balance_residual(space: EnumeratedSpace, algorithm: str) -> float:

@@ -15,9 +15,10 @@ to the cell-weight product model.  Margins are preserved by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from ._streams import UniformStream, draw_pair
-from .matrices import BinaryMatrix, WeightMatrix, _accept_prob
+from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _cells
 
 NO_CHECKERBOARD = "no-checkerboard"
 REJECTED = "rejected"
@@ -100,6 +101,26 @@ def _stepper(rows, ones, log_rows, u):
         return 1
 
     return step
+
+
+def _outcomes(rows, weights: WeightMatrix):
+    """Every outcome of one proposal from the state `rows`, as (share, i, i', moved, p).
+
+    Each pair of the k 1-cells has share 1 / C(k, 2) and flips the columns
+    `moved` in rows i and i' with probability p; moved is 0 for no checkerboard.
+    """
+    ones = _cells(rows)
+    k = len(ones)
+    if k < 2:
+        yield 1.0, 0, 0, 0, 0.0
+        return
+    inv_pairs = 1.0 / (k * (k - 1) // 2)
+    for (i, j), (ip, jp) in combinations(ones, 2):
+        d = _swap_weights(rows, weights._log_rows, i, j, ip, jp)
+        if d is None:
+            yield inv_pairs, i, ip, 0, 0.0
+        else:
+            yield inv_pairs, i, ip, 1 << j | 1 << jp, _accept_prob(d)
 
 
 def propose_swap(state: BinaryMatrix, weights: WeightMatrix, rng) -> SwapProposal | None:

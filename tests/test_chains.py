@@ -18,6 +18,7 @@ from fixedmargin import (
     random_binary_matrix,
     run_chain,
     run_ensemble,
+    swap_step,
     with_corner_zeros,
     with_random_zeros,
 )
@@ -62,6 +63,12 @@ def test_check_start_decides_every_start_condition():
     with pytest.raises(ValueError, match="two rows"):
         chains.check_start(row, WeightMatrix.all_ones(1, 3),
                            ChainConfig(algorithm="curveball", statistics=("c-score",)))
+    # margins are fixed, so a statistic undefined at the start is undefined everywhere
+    with pytest.raises(ValueError, match="at least two rows"):
+        chains.check_start(row, WeightMatrix.all_ones(1, 3), ChainConfig(statistics=("c-score",)))
+    empty = BinaryMatrix(np.zeros((3, 3), dtype=np.int8))
+    with pytest.raises(ValueError, match="undefined for an all-zero matrix"):
+        chains.check_start(empty, WeightMatrix.all_ones(3, 3), ChainConfig())
 
 
 def test_config_accepts_statistic_lists():
@@ -124,6 +131,27 @@ def test_same_seed_reproduces_the_trace_bitwise(alternating_weights):
     assert np.array_equal(first.values["diag-divergence"], second.values["diag-divergence"])
     assert all(a == b for a, b in zip(first.matrices, second.matrices))
     assert first.counters == second.counters
+
+
+def test_swap_chain_ignores_the_ones_order_of_a_stepped_start():
+    # swap_step rewrites two slots of `ones` in place, leaving them out of
+    # row-major order; the chain must run as from a fresh matrix
+    rng = np.random.default_rng(21)
+    weights = WeightMatrix(rng.lognormal(0.0, 1.0, size=(5, 6)))
+    state = BinaryMatrix([[1, 1, 0, 0, 1, 0], [0, 1, 1, 0, 0, 1], [1, 0, 1, 1, 0, 0],
+                          [0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 0, 1]])
+    for _ in range(1_000):
+        if state.ones != sorted(state.ones):
+            break
+        swap_step(state, weights, rng)
+    fresh = BinaryMatrix(state.entries)
+    assert fresh.ones == sorted(state.ones)
+    config = ChainConfig(burn_in=50, thin=3, retained=40, seed=6, statistics=("c-score",),
+                         keep_matrices=True)
+    first, second = run_chain(state, weights, config), run_chain(fresh, weights, config)
+    assert first.counters == second.counters
+    assert np.array_equal(first.values["c-score"], second.values["c-score"])
+    assert first.matrices == second.matrices
 
 
 def test_initial_matrix_is_not_mutated(alternating_weights):

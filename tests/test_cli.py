@@ -18,7 +18,7 @@ import pytest
 import fixedmargin
 from fixedmargin import chains, cli
 from fixedmargin.cli import main
-from fixedmargin.matrices import read_binary_matrix
+from fixedmargin.matrices import BinaryMatrix, read_binary_matrix, write_binary_matrix
 from fixedmargin.stats import c_score
 
 TOY_MATRIX = "1 0 0\n0 1 0\n0 0 1\n"
@@ -289,6 +289,21 @@ def test_square_statistic_on_rectangle_is_refused_before_any_work(monkeypatch, t
     assert pools == []
     assert "'diag-divergence' needs a square matrix, got 3x4" in err
     assert "warning:" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("matrix_text, stat", [
+    ("1 0 1\n", "c-score"),
+    ("0 0 0\n0 0 0\n0 0 0\n", "diag-divergence"),
+], ids=["one-row-c-score", "all-zero-diag-divergence"])
+def test_statistic_undefined_at_the_start_is_refused_before_any_work(tmp_path, capsys,
+                                                                      matrix_text, stat):
+    matrix = _write(tmp_path / "m.txt", matrix_text)
+    code = main(["sample", matrix, "--stats", stat, "--burn-in", "100000",
+                 "--out", str(tmp_path / "run")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "at least two rows" in err or "all-zero matrix" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -674,6 +689,8 @@ def test_immobile_swap_chain_is_one_note(tmp_path, capfd, argv):
     ["enumerate", "--rows", "1,1", "--cols", "1,1", "--cap", "0"],
     ["sample", "{matrix}", "--jobs", "0"],
     ["sample", "{matrix}", "--jobs", "-2"],
+    ["sample", "{matrix}", "--chains", "0"],
+    ["sample", "{matrix}", "--chains", "-1"],
 ])
 def test_option_out_of_range_is_usage_error(tmp_path, toy_files, capsys, argv):
     matrix, _ = toy_files
@@ -683,6 +700,19 @@ def test_option_out_of_range_is_usage_error(tmp_path, toy_files, capsys, argv):
     assert code == 1
     assert out == "" and f"{argv[-2]} must be finite and above 0" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_state_text_matches_the_per_cell_rendering(tmp_path):
+    # the digests pin states of fewer than 8 columns; this one spans two bytes per row
+    rng = np.random.default_rng(12)
+    ent = (rng.random((4, 13)) < 0.5).astype(np.int8)
+    ent[0, 12] = ent[1, 0] = 1
+    matrix = BinaryMatrix(ent)
+    rows = ["".join(str(int(v)) for v in row) for row in ent]
+    assert cli._encode_state(matrix) == "/".join(rows)
+    path = tmp_path / "state.txt"
+    write_binary_matrix(matrix, path, header="a state")
+    assert path.read_text() == "# a state\n" + "".join(" ".join(row) + "\n" for row in rows)
 
 
 # -- entry points and dispatch ------------------------------------------------
