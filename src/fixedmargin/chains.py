@@ -17,10 +17,12 @@ import numpy as np
 
 from . import curveball, swap
 from ._streams import UniformStream
-from .matrices import BinaryMatrix, WeightMatrix, _cells, require_compatible
+from .matrices import BinaryMatrix, WeightMatrix, require_compatible
 from .stats import get_statistic
 
-ALGORITHMS = ("swap", "curveball")
+# a sampler module provides _start(state), _stepper(state, weights, u), _outcomes(rows, weights)
+SAMPLERS = {"swap": swap, "curveball": curveball}
+ALGORITHMS = tuple(SAMPLERS)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,9 @@ def check_start(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfi
     """Raise if a chain of `config` cannot start at `initial`; else why it never moves, or None.
 
     A 1 on a zero weight raises CompatibilityError; a square-only statistic
-    on a non-square matrix, curveball on fewer than two rows, or a statistic
-    undefined at the start, and so on every state of its margins, ValueError.
+    on a non-square matrix, a shape the sampler's `_start` refuses, or a
+    statistic undefined at the start, and so on every state of its margins,
+    ValueError.  The sampler's `_start` also gives the reason.
     """
     require_compatible(initial, weights)
     for name in config.statistics:
@@ -101,13 +104,10 @@ def check_start(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfi
             raise ValueError(
                 f"statistic {name!r} needs a square matrix, got {initial.m}x{initial.n}"
             )
-    if config.algorithm == "curveball" and initial.m < 2:
-        raise ValueError("curveball needs at least two rows")
+    reason = SAMPLERS[config.algorithm]._start(initial)
     for name in config.statistics:
         get_statistic(name).func(initial)
-    if config.algorithm == "swap" and len(initial.ones) < 2:
-        return "swap chain on a matrix with fewer than two 1s can never move"
-    return None
+    return reason
 
 
 def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -118,9 +118,9 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
               chain_index: int = 0) -> Trace:
     """Run one chain from `initial`; the argument is not mutated.
 
-    The chain runs on a copy of the initial matrix's row bitsets; statistics
-    and kept matrices see a BinaryMatrix built from them at each retention
-    instant.
+    The chain steps a private copy of the initial matrix, whose `ones`
+    starts in row-major order; statistics and kept matrices see a
+    BinaryMatrix built from its row bitsets at each retention instant.
 
     `check_start` refuses a start the chain cannot run from.  A chain that
     can never move runs anyway and warns once with an ImmobileChainWarning.
@@ -129,12 +129,10 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
     if reason is not None:
         warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
     stat_defs = [get_statistic(name) for name in config.statistics]
-    rows = list(initial._rows)
+    state = initial.copy()
+    rows = state._rows
     u = UniformStream(_chain_rng(config.seed, chain_index)).u
-    if config.algorithm == "curveball":
-        step = curveball._stepper(rows, weights._pos_masks, weights._log_rows, u)
-    else:
-        step = swap._stepper(rows, _cells(rows), weights._log_rows, u)
+    step = SAMPLERS[config.algorithm]._stepper(state, weights, u)
 
     counts = [0, 0, 0]
     recorders = [(stat.name, stat.func, []) for stat in stat_defs]

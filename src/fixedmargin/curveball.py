@@ -30,11 +30,7 @@ from math import comb, trunc
 from ._streams import UniformStream, draw_pair
 from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _columns
 
-NO_TRADE = "no-trade"
-REJECTED = "rejected"
-TRADED = "traded"
-
-_OUTCOMES = (NO_TRADE, REJECTED, TRADED)
+_OUTCOMES = ("no-trade", "rejected", "traded")
 
 
 @dataclass(frozen=True)
@@ -163,12 +159,19 @@ def trade_probability(weights: WeightMatrix, i: int, i_prime: int, moved_to_i, m
     return _trade_prob(weights._log_rows, i, i_prime, gi, gip)
 
 
-def _stepper(rows, pos_masks, log_rows, u):
-    """One-proposal step function over row bitsets; returns 0 no-trade, 1 reject, 2 trade.
+def _start(state: BinaryMatrix) -> None:
+    """Raise ValueError unless `state` has the two rows a trade needs."""
+    if state.m < 2:
+        raise ValueError("curveball needs at least two rows")
+
+
+def _stepper(state: BinaryMatrix, weights: WeightMatrix, u):
+    """One-proposal step function over `state`; returns 0 no-trade, 1 reject, 2 trade.
 
     Identity trades count as accepted.  An accepted trade flips the moved
-    columns in both rows' bitsets, in place.
+    columns in both rows' bitsets, in place; cached views are left to the caller.
     """
+    rows, pos_masks, log_rows = state._rows, weights._pos_masks, weights._log_rows
     m = len(rows)
     half = _crossing_law(1, 1)[1]
 
@@ -235,9 +238,8 @@ def propose_trade(state: BinaryMatrix, weights: WeightMatrix, rng, rows=None) ->
     exercising the split distribution.  Returns None when either candidate
     set is empty (the no-trade outcome).
     """
+    _start(state)
     m = state.m
-    if m < 2:
-        raise ValueError("curveball needs at least two rows")
     u = UniformStream(rng, block=8).u
     if rows is None:
         a, b = draw_pair(m, u)
@@ -267,10 +269,8 @@ def curveball_step(state: BinaryMatrix, weights: WeightMatrix, rng) -> str:
     as "traded".  Requires at least two rows.  A trade drops the state's
     cached `entries` and `ones`, so `ones` is next read in row-major order.
     """
-    if state.m < 2:
-        raise ValueError("curveball needs at least two rows")
-    outcome = _stepper(state._rows, weights._pos_masks, weights._log_rows,
-                       UniformStream(rng, block=16).u)()
+    _start(state)
+    outcome = _stepper(state, weights, UniformStream(rng, block=16).u)()
     if outcome == 2:
         state._entries = state._ones = None
     return _OUTCOMES[outcome]

@@ -40,9 +40,9 @@ class BinaryMatrix:
     The row bitsets are the state.  `entries`, a read-only int8 array, and
     `ones`, the (row, col) coordinates of the 1s in row-major order, are
     built from them on first read and cached; the margins are summed from
-    `entries`.  Only the public `swap_step` and `curveball_step` mutate a
-    BinaryMatrix: a swap rewrites its two cells' slots in `ones`, a trade
-    drops the cached `ones`, and both drop the cached `entries`.
+    `entries`.  Only `swap_step`, `curveball_step` and `run_chain`, on its
+    private copy, step a BinaryMatrix.  A swap rewrites its two cells' slots
+    in `ones`; the public steps drop the cached `entries`, a trade also `ones`.
     """
 
     __slots__ = ("_rows", "m", "n", "_entries", "_ones")

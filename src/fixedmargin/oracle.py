@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curveball, swap
-from .chains import ALGORITHMS, Trace
+from .chains import ALGORITHMS, SAMPLERS, Trace
 from .matrices import BinaryMatrix, WeightMatrix, _columns
 
 
@@ -163,14 +162,14 @@ class MoveGraph:
 
 
 def move_graph(space: EnumeratedSpace, algorithm: str) -> MoveGraph:
-    """The sampler's legal moves on the space, built once per space and algorithm."""
+    """The sampler's legal moves, built once per space and algorithm; `_start` may refuse them."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if algorithm == "curveball" and space.weights.m < 2:
-        raise ValueError("the curveball kernel needs at least two rows")
     graph = space._moves.get(algorithm)
     if graph is None:
-        *columns, targets = _moves(space, (swap if algorithm == "swap" else curveball)._outcomes)
+        if space.states:  # every state has the same shape
+            SAMPLERS[algorithm]._start(space.states[0])
+        *columns, targets = _moves(space, SAMPLERS[algorithm]._outcomes)
         columns = [np.frombuffer(column, dtype=column.typecode) for column in columns]
         for column in columns:
             column.flags.writeable = False  # every caller shares the cached graph

@@ -20,11 +20,7 @@ from itertools import combinations
 from ._streams import UniformStream, draw_pair
 from .matrices import BinaryMatrix, WeightMatrix, _accept_prob, _cells
 
-NO_CHECKERBOARD = "no-checkerboard"
-REJECTED = "rejected"
-SWAPPED = "swapped"
-
-_OUTCOMES = (NO_CHECKERBOARD, REJECTED, SWAPPED)
+_OUTCOMES = ("no-checkerboard", "rejected", "swapped")
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,21 @@ def swap_probability(weights: WeightMatrix, i: int, j: int, i_prime: int, j_prim
     return _accept_prob(d)
 
 
-def _stepper(rows, ones, log_rows, u):
-    """One-proposal step function over a sampler state; returns 0 no-op, 1 reject, 2 swap.
+def _start(state: BinaryMatrix) -> str | None:
+    """Why a swap chain from `state` can never move, or None; any shape can run."""
+    if len(state.ones) < 2:
+        return "swap chain on a matrix with fewer than two 1s can never move"
+    return None
 
-    The state is the row bitsets plus the list of 1-cell coordinates.  An
-    accepted swap of the cells at list positions a, b rewrites both slots
-    in place, keeping their rows and exchanging their columns.
+
+def _stepper(state: BinaryMatrix, weights: WeightMatrix, u):
+    """One-proposal step function over `state`; returns 0 no-op, 1 reject, 2 swap.
+
+    An accepted swap of the cells at positions a, b of `state.ones` flips
+    the state's row bitsets and rewrites both slots in place, keeping their
+    rows and exchanging their columns; `entries` is left to the caller.
     """
+    rows, ones, log_rows = state._rows, state.ones, weights._log_rows
     k = len(ones)
 
     def step() -> int:
@@ -148,8 +152,7 @@ def swap_step(state: BinaryMatrix, weights: WeightMatrix, rng) -> str:
     fewer than two 1s can never move and every proposal reports
     "no-checkerboard".
     """
-    outcome = _stepper(state._rows, state.ones, weights._log_rows,
-                       UniformStream(rng, block=4).u)()
+    outcome = _stepper(state, weights, UniformStream(rng, block=4).u)()
     if outcome == 2:
         state._entries = None
     return _OUTCOMES[outcome]

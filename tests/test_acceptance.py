@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fixedmargin.chains import (
+    ALGORITHMS,
     ChainConfig,
     random_binary_matrix,
     run_chain,
@@ -44,7 +45,7 @@ def test_ac01_weighted_toy_distribution():
     assert sorted(np.round(space.probabilities, 3)) == [0.056, 0.056, 0.222,
                                                         0.222, 0.222, 0.222]
     details = []
-    for algorithm in ("swap", "curveball"):
+    for algorithm in ALGORITHMS:
         # at 1,000 retained samples the per-state noise floor is ~0.013 and
         # the expected KL is ~2.5e-3, so the thresholds sit near 2 sigma;
         # the frozen seed is a typical draw (several seeds were checked and
@@ -79,7 +80,7 @@ def test_ac02_detailed_balance_and_stationarity():
             spaces.append(space)
     worst_balance = worst_stationarity = 0.0
     for space in spaces:
-        for algorithm in ("swap", "curveball"):
+        for algorithm in ALGORITHMS:
             worst_balance = max(worst_balance, balance_residual(space, algorithm))
             worst_stationarity = max(worst_stationarity,
                                      stationarity_residual(space, algorithm))
@@ -105,7 +106,7 @@ def test_ac03_uniform_sampling_total_variation():
             cases.append((matrix, space))
     details = []
     for start, space in cases:
-        for algorithm in ("swap", "curveball"):
+        for algorithm in ALGORITHMS:
             config = ChainConfig(algorithm=algorithm, burn_in=2_500, thin=25,
                                  retained=5_000, seed=11, statistics=(),
                                  keep_matrices=True)
@@ -115,7 +116,7 @@ def test_ac03_uniform_sampling_total_variation():
                 f"{algorithm} on {len(space)} states: TV {comparison.total_variation}"
             )
             details.append(f"{comparison.total_variation:.3f}")
-    print(f"AC-3 PASS: TV distances {', '.join(details)} (3 spaces x 2 algorithms)")
+    print(f"AC-3 PASS: TV distances {', '.join(details)} (3 spaces x {len(ALGORITHMS)} algorithms)")
 
 
 def test_ac04_reducible_space_detection(no_diagonal, tmp_path, capsys):

@@ -155,10 +155,32 @@ def test_swap_chain_ignores_the_ones_order_of_a_stepped_start():
 
 
 def test_initial_matrix_is_not_mutated(alternating_weights):
-    initial = BinaryMatrix.identity(3)
-    snapshot = initial.entries.copy()
-    run_chain(initial, alternating_weights, ChainConfig(retained=200, seed=8))
-    assert np.array_equal(initial.entries, snapshot)
+    # compare the row bitsets and the 1-cell list, not a cached `entries`
+    for algorithm in chains.ALGORITHMS:
+        initial = BinaryMatrix.identity(3)
+        run_chain(initial, alternating_weights,
+                  ChainConfig(algorithm=algorithm, retained=200, seed=8))
+        assert initial == BinaryMatrix.identity(3), algorithm
+        assert initial.ones == [(0, 0), (1, 1), (2, 2)], algorithm
+
+
+@pytest.mark.parametrize("algorithm", chains.ALGORITHMS)
+def test_trace_ignores_the_order_of_the_start_ones(alternating_weights, algorithm):
+    # swap_step leaves `ones` out of row-major order; a chain from that
+    # matrix must run exactly as from a fresh one with the same entries
+    rng = np.random.default_rng(5)
+    start = BinaryMatrix(1 - np.eye(3, dtype=np.int8))
+    for _ in range(100):
+        swap_step(start, alternating_weights, rng)
+        if start.ones != sorted(start.ones):
+            break
+    assert start.ones != sorted(start.ones)
+    config = ChainConfig(algorithm=algorithm, retained=50, seed=9, keep_matrices=True)
+    moved = run_chain(start, alternating_weights, config)
+    fresh = run_chain(BinaryMatrix(start.entries), alternating_weights, config)
+    assert moved.matrices == fresh.matrices
+    assert np.array_equal(moved.values["diag-divergence"], fresh.values["diag-divergence"])
+    assert moved.counters == fresh.counters
 
 
 def test_retention_instants_are_proposal_counts(alternating_weights):

@@ -199,11 +199,13 @@ def test_two_column_fast_path_draws_as_the_split_does(c):
             return next(values)
         return u
 
-    rows = [0b01, 0b10]
+    state = BinaryMatrix.identity(2)
+    rows = state._rows
+    assert rows == [0b01, 0b10]
     w = WeightMatrix.all_ones(2, 2)
     # the pair draw takes two uniforms, (0.0, 0.0) -> rows (0, 1), and an
     # accepting uniform 0.0 follows a proposal that moves columns
-    assert _stepper(rows, w._pos_masks, w._log_rows, scripted([0.0, 0.0, c, 0.0]))() == 2
+    assert _stepper(state, w, scripted([0.0, 0.0, c, 0.0]))() == 2
     by_step = len(drawn)
     drawn.clear()
     gained_0, gained_1 = _draw_split([0], [1], scripted([c]))

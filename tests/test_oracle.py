@@ -38,6 +38,7 @@ from fixedmargin import (
     swap_step,
     with_corner_zeros,
 )
+from fixedmargin.chains import ALGORITHMS
 
 
 def perm_matrix(sigma):
@@ -266,7 +267,7 @@ def test_kernel_rows_sum_to_one_and_balance_holds():
         space = enumerate_space(ent.sum(1), ent.sum(0), weights)
         if len(space) < 2:
             continue
-        for algorithm in ("swap", "curveball"):
+        for algorithm in ALGORITHMS:
             kernel = exact_kernel(space, algorithm)
             assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
             assert balance_residual(space, algorithm) < 1e-12
@@ -277,7 +278,7 @@ def test_exact_probabilities_are_the_stationary_eigenvector(alternating_weights,
     # independent route to the stationary law: the kernel's left eigenvector
     # at eigenvalue one must reproduce the enumerated probabilities
     space = enumerate_space(*unit_margins, alternating_weights)
-    for algorithm in ("swap", "curveball"):
+    for algorithm in ALGORITHMS:
         kernel = exact_kernel(space, algorithm)
         eigvals, eigvecs = np.linalg.eig(kernel.T)
         lead = np.argmin(np.abs(eigvals - 1.0))
@@ -294,7 +295,7 @@ def test_weight_scaling_leaves_probabilities_unchanged():
     r, c = [2, 1, 2, 1], [1, 2, 1, 2]
     base = WeightMatrix(np.random.default_rng(227).lognormal(0.0, 1.0, size=(4, 4)))
     space = enumerate_space(r, c, base)
-    kernels = {algorithm: exact_kernel(space, algorithm) for algorithm in ("swap", "curveball")}
+    kernels = {algorithm: exact_kernel(space, algorithm) for algorithm in ALGORITHMS}
     for a, b in [
         (np.full(4, 3.7), np.ones(4)),
         (np.array([0.5, 2.0, 7.0, 1e-3]), np.ones(4)),
@@ -314,7 +315,7 @@ def test_weight_scaling_leaves_probabilities_unchanged():
             assert np.allclose(exact_kernel(scaled, algorithm), kernel, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("algorithm", ["swap", "curveball"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("scale", [1e-170, 1e170])
 def test_samplers_follow_the_law_at_extreme_weight_scales(alternating_weights, unit_margins,
                                                           algorithm, scale):
@@ -369,7 +370,7 @@ def test_kernel_rejects_unknown_algorithm(unit_margins):
 
 def test_alternating_space_is_connected_with_diameter_two(alternating_weights, unit_margins):
     space = enumerate_space(*unit_margins, alternating_weights)
-    for algorithm in ("swap", "curveball"):
+    for algorithm in ALGORITHMS:
         components = connectivity(space, algorithm)
         assert len(components) == 1
         assert sorted(components[0]) == list(range(6))
@@ -394,7 +395,7 @@ def test_forbidden_diagonal_splits_the_space(no_diagonal):
     weights, up, down = no_diagonal
     space = enumerate_space([1, 1, 1], [1, 1, 1], weights)
     assert len(space) == 2  # only the two 3-cycles avoid the diagonal
-    for algorithm in ("swap", "curveball"):
+    for algorithm in ALGORITHMS:
         components = connectivity(space, algorithm)
         assert len(components) == 2
         comp_of = {}
@@ -489,7 +490,7 @@ def zero_pattern_spaces():
 
 def test_move_graph_matches_the_dense_kernel(zero_pattern_spaces):
     for space in zero_pattern_spaces:
-        for algorithm in ("swap", "curveball"):
+        for algorithm in ALGORITHMS:
             graph = move_graph(space, algorithm)
             kernel = exact_kernel(space, algorithm)
             support = kernel > 0.0
@@ -511,13 +512,14 @@ def test_move_graph_matches_the_dense_kernel(zero_pattern_spaces):
                            for column in (graph.src, graph.dst, graph.prob, graph.stay))
 
 
-def test_swap_and_curveball_share_their_components(zero_pattern_spaces):
-    # a trade of k columns is k legal swaps in a row, and a legal swap is a
-    # one-column trade, which is why the CLI certifies both with swap moves
+def test_every_algorithm_has_swaps_components(zero_pattern_spaces):
+    # the CLI certifies every sampler with swap moves: a trade of k columns
+    # is k legal swaps in a row, and a legal swap is a one-column trade
     split = 0
     for space in zero_pattern_spaces:
         components = connectivity(space, "swap")
-        assert components == connectivity(space, "curveball")
+        for algorithm in ALGORITHMS:
+            assert connectivity(space, algorithm) == components
         _, labels = scipy.sparse.csgraph.connected_components(exact_kernel(space, "swap") > 0.0)
         expected = {}
         for state, label in enumerate(labels.tolist()):
@@ -527,10 +529,21 @@ def test_swap_and_curveball_share_their_components(zero_pattern_spaces):
     assert split >= 1
 
 
+def test_curveball_move_graph_needs_two_rows():
+    space = enumerate_space([2], [1, 1, 0])
+    assert len(space) == 1
+    with pytest.raises(ValueError, match="two rows"):
+        move_graph(space, "curveball")
+    # with no state there is no start to refuse, and no move
+    empty = enumerate_space([3], [1, 1])
+    assert len(empty) == 0
+    assert len(move_graph(empty, "curveball").stay) == 0
+
+
 def test_diameter_and_min_swaps_match_shortest_paths(zero_pattern_spaces):
     rng = np.random.default_rng(77)
     for space in zero_pattern_spaces:
-        for algorithm in ("swap", "curveball"):
+        for algorithm in ALGORITHMS:
             adjacency = exact_kernel(space, algorithm) > 0.0
             np.fill_diagonal(adjacency, False)
             dist = scipy.sparse.csgraph.shortest_path(adjacency.astype(float), unweighted=True)
