@@ -199,9 +199,8 @@ def test_two_column_fast_path_draws_as_the_split_does(c):
             return next(values)
         return u
 
-    state = BinaryMatrix.identity(2)
+    state = BinaryMatrix.identity(2)  # rows 0b01 and 0b10
     rows = state._rows
-    assert rows == [0b01, 0b10]
     w = WeightMatrix.all_ones(2, 2)
     # the pair draw takes two uniforms, (0.0, 0.0) -> rows (0, 1), and an
     # accepting uniform 0.0 follows a proposal that moves columns
