@@ -115,7 +115,7 @@ def _chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 
 def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
-              chain_index: int = 0) -> Trace:
+              chain_index: int = 0, *, start_checked: bool = False) -> Trace:
     """Run one chain from `initial`; the argument is not mutated.
 
     The chain steps a private copy of the initial matrix, whose `ones`
@@ -124,10 +124,14 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
 
     `check_start` refuses a start the chain cannot run from.  A chain that
     can never move runs anyway and warns once with an ImmobileChainWarning.
+    A caller that has made that check and reported its reason, as
+    `run_ensemble` and `fixedmargin nullmodel` do, passes
+    `start_checked=True` to skip both.
     """
-    reason = check_start(initial, weights, config)
-    if reason is not None:
-        warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
+    if not start_checked:
+        reason = check_start(initial, weights, config)
+        if reason is not None:
+            warnings.warn(reason, ImmobileChainWarning, stacklevel=2)
     stat_defs = [get_statistic(name) for name in config.statistics]
     state = initial.copy()
     rows = state._rows
@@ -167,9 +171,7 @@ def run_chain(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
 
 def _run_indexed(args) -> Trace:
     initial, weights, config, index = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ImmobileChainWarning)  # run_ensemble warned once
-        return run_chain(initial, weights, config, chain_index=index)
+    return run_chain(initial, weights, config, chain_index=index, start_checked=True)
 
 
 def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConfig,
@@ -179,7 +181,8 @@ def run_ensemble(initial: BinaryMatrix, weights: WeightMatrix, config: ChainConf
     Chains differ only in their seed derivation, so the result is identical
     whether they run serially or across worker processes.  At most `n_jobs`
     workers start, and never more than there are chains or CPUs.  The start
-    is checked here, before any worker starts, and a chain that can never move warns once.
+    is checked once, here, before any worker starts, and the chains skip the
+    check; a chain that can never move warns once.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")

@@ -45,6 +45,7 @@ from .oracle import (
     enumerate_space,
     exact_kernel,  # noqa: F401  unused here; benchmark/tracing.py wraps cli.exact_kernel
     stationarity_residual,
+    swap_components,
 )
 from .stats import diagnose, empirical_p_value, ess, evaluate_statistic
 
@@ -122,7 +123,8 @@ def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
     """Notes on non-monotonic structural zeros, printed as warnings, plus an abort flag.
 
     A monotonic zero pattern keeps the chain irreducible, so only other
-    patterns trigger the automatic connectivity check.  The second return
+    patterns trigger the automatic connectivity check, `swap_components`,
+    whose count certifies every sampler.  The second return
     value is True, and an error is printed, when --strict is set and
     connectivity was not certified.
     """
@@ -135,23 +137,19 @@ def _check_zero_pattern(matrix: BinaryMatrix, weights: WeightMatrix,
     )
     certified = False
     try:
-        space = enumerate_space(matrix.row_sums, matrix.col_sums, weights,
-                                cap=_AUTO_CHECK_CAP)
+        components = swap_components(matrix.row_sums, matrix.col_sums, weights,
+                                     cap=_AUTO_CHECK_CAP)
     except SpaceTooLargeError:
         notes.append(
             f"connectivity not checked: the state space exceeds {_AUTO_CHECK_CAP} states"
         )
     else:
-        # Certifies both samplers: a trade of k columns is k legal swaps in
-        # sequence, and each legal swap is a one-column trade, so swap and
-        # curveball have the same components.
-        components = connectivity(space, "swap")
-        if len(components) <= 1:
+        if components <= 1:
             certified = True
             notes.append("connectivity check passed: the space is a single component")
         else:
             notes.append(
-                f"connectivity check failed: {len(components)} components; "
+                f"connectivity check failed: {components} components; "
                 "sampling cannot reach every state and results would be biased"
             )
     for note in notes:
@@ -414,7 +412,7 @@ def cmd_nullmodel(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trace = run_chain(observed, weights, config)
+    trace = run_chain(observed, weights, config, start_checked=True)
     null_values = trace.values[args.statistic]
     p_value = empirical_p_value(observed_value, null_values, tail=args.tail)
     csv_path = out_dir / f"null-{args.statistic}.csv"

@@ -67,68 +67,138 @@ class EnumeratedSpace:
         return index
 
 
-def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
-                    cap: int = 1_000_000) -> EnumeratedSpace:
-    """Enumerate all binary matrices with the given margins and no 1 on a zero weight.
-
-    Row-wise backtracking with column-capacity pruning.  Infeasible margins
-    yield an empty space (log_kappa -inf), not an error.  Raises
-    SpaceTooLargeError as soon as more than `cap` states are found.
-    """
+def _margins(row_sums, col_sums, weights: WeightMatrix | None):
+    """Validated margins as int64 arrays, and the weights (all ones when None)."""
     r = np.asarray(row_sums, dtype=np.int64)
     c = np.asarray(col_sums, dtype=np.int64)
     if r.ndim != 1 or c.ndim != 1:
         raise ValueError("margins must be 1-D integer sequences")
     if (r < 0).any() or (c < 0).any():
         raise ValueError("margins must be nonnegative")
-    m, n = r.size, c.size
     if weights is None:
-        weights = WeightMatrix.all_ones(m, n)
-    if (weights.m, weights.n) != (m, n):
+        weights = WeightMatrix.all_ones(r.size, c.size)
+    if (weights.m, weights.n) != (r.size, c.size):
         raise ValueError(
-            f"weights are {weights.m}x{weights.n} but margins imply {m}x{n}"
+            f"weights are {weights.m}x{weights.n} but margins imply {r.size}x{c.size}"
         )
+    return r, c, weights
 
-    states: list[BinaryMatrix] = []
-    if m > 0 and n > 0 and r.sum() == c.sum() and (r <= n).all() and (c <= m).all():
-        allowed = [_columns(mask) for mask in weights._pos_masks]
-        remaining = c.tolist()
-        need = r.tolist()
-        chosen: list[int] = []
 
-        def descend(i: int) -> None:
-            if i == m:
-                if len(states) >= cap:
-                    raise SpaceTooLargeError(
-                        f"state space exceeds the cap of {cap} states"
-                    )
-                states.append(BinaryMatrix._from_row_bits(chosen, n))
-                return
-            rows_left_after = m - i - 1
-            open_cols = [j for j in allowed[i] if remaining[j] > 0]
-            for cols in itertools.combinations(open_cols, need[i]):
-                for j in cols:
-                    remaining[j] -= 1
-                if max(remaining) <= rows_left_after:
-                    chosen.append(sum(1 << j for j in cols))
-                    descend(i + 1)
-                    chosen.pop()
-                for j in cols:
-                    remaining[j] += 1
+def _state_rows(r: np.ndarray, c: np.ndarray, weights: WeightMatrix, cap: int) -> list[int]:
+    """Every state as one packed int, row i in bits i*n .. i*n + n - 1.
 
-        descend(0)
+    Row-wise backtracking with column-capacity pruning, in the order the
+    states are listed.  Infeasible margins give no state.  Raises
+    SpaceTooLargeError as soon as more than `cap` states are found.
+    """
+    m, n = r.size, c.size
+    keys: list[int] = []
+    if not (m > 0 and n > 0 and r.sum() == c.sum() and (r <= n).all() and (c <= m).all()):
+        return keys
+    allowed = [_columns(mask) for mask in weights._pos_masks]
+    remaining = c.tolist()
+    need = r.tolist()
 
-    if not states:
+    def descend(i: int, key: int) -> None:
+        if i == m:
+            if len(keys) >= cap:
+                raise SpaceTooLargeError(f"state space exceeds the cap of {cap} states")
+            keys.append(key)
+            return
+        rows_left_after = m - i - 1
+        open_cols = [j for j in allowed[i] if remaining[j] > 0]
+        for cols in itertools.combinations(open_cols, need[i]):
+            for j in cols:
+                remaining[j] -= 1
+            if max(remaining) <= rows_left_after:
+                descend(i + 1, key | sum(1 << j for j in cols) << i * n)
+            for j in cols:
+                remaining[j] += 1
+
+    descend(0, 0)
+    return keys
+
+
+def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
+                    cap: int = 1_000_000) -> EnumeratedSpace:
+    """Enumerate all binary matrices with the given margins and no 1 on a zero weight.
+
+    The states are those of `_state_rows`, in its order.  Infeasible
+    margins yield an empty space (log_kappa -inf), not an error.  Raises
+    SpaceTooLargeError as soon as more than `cap` states are found.
+    """
+    r, c, weights = _margins(row_sums, col_sums, weights)
+    n, full = c.size, (1 << c.size) - 1
+    shifts = range(0, r.size * n, n)
+    rows = [tuple(key >> shift & full for shift in shifts)
+            for key in _state_rows(r, c, weights, cap)]
+    if not rows:
         return EnumeratedSpace(r, c, weights, [], np.zeros(0), -math.inf, {})
 
+    states = [BinaryMatrix._from_row_bits(bits, n) for bits in rows]
     logps = np.array([float(weights.log_weights[state.entries == 1].sum()) for state in states])
     peak = logps.max()
     scaled = np.exp(logps - peak)
     total = scaled.sum()
     probabilities = scaled / total
-    index = {tuple(state._rows): idx for idx, state in enumerate(states)}
+    index = {bits: idx for idx, bits in enumerate(rows)}
     return EnumeratedSpace(r, c, weights, states, probabilities,
                            float(peak + np.log(total)), index)
+
+
+def swap_components(row_sums, col_sums, weights: WeightMatrix | None = None,
+                    cap: int = 1_000_000) -> int:
+    """How many components swap moves split the space into; 0 when it is empty.
+
+    This is `len(connectivity(space, algorithm))` for every sampler, read
+    from move legality alone.  A trade of k columns is k legal swaps in
+    sequence, and each legal swap is a one-column trade, so swap and
+    curveball have the same components and one count certifies both.
+
+    A checkerboard swap between rows i and i' is legal when its target is a
+    state, that is, when neither 1 it moves lands on a zero weight.  States
+    are the packed ints of `_state_rows`, and a breadth-first search over
+    legal swaps marks them in one set, so memory grows with the number of
+    states, not of moves.  The search stops once every state is reached.
+    Raises SpaceTooLargeError as soon as more than `cap` states are found.
+    """
+    r, c, weights = _margins(row_sums, col_sums, weights)
+    keys = _state_rows(r, c, weights, cap)
+    m, n = r.size, c.size
+    full, pos = (1 << n) - 1, weights._pos_masks
+    # only rows with a 1 and a 0 can swap; `both` flips the same columns in either row
+    active = [i for i in range(m) if 0 < r[i] < n]
+    pairs = [(i, ip, 1 << i * n | 1 << ip * n) for i, ip in itertools.combinations(active, 2)]
+    total, seen = len(keys), set()
+    components = 0
+    for start in keys:
+        if len(seen) == total:
+            break
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        reached = [start]
+        for key in reached:  # a breadth-first queue: the loop reads what it appends
+            if len(seen) == total:
+                break
+            rows = [key >> i * n & full for i in range(m)]
+            for i, ip, both in pairs:
+                # the 1s row i can hand to row i', and those it can take back
+                give = rows[i] & ~rows[ip] & pos[ip]
+                take = rows[ip] & ~rows[i] & pos[i] if give else 0
+                while take:
+                    b = take & -take
+                    take ^= b
+                    rest = give
+                    while rest:
+                        a = rest & -rest
+                        rest ^= a
+                        target = key ^ (a | b) * both
+                        if target not in seen:
+                            seen.add(target)
+                            reached.append(target)
+    return components
 
 
 def _max_pairwise_hamming(space: EnumeratedSpace) -> int:

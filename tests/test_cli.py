@@ -10,13 +10,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fixedmargin
-from fixedmargin import chains, cli
+from fixedmargin import chains, cli, stats
 from fixedmargin.cli import main
 from fixedmargin.matrices import BinaryMatrix, read_binary_matrix, write_binary_matrix
 from fixedmargin.stats import c_score
@@ -250,6 +251,46 @@ def test_sample_strict_certifies_curveball_at_extreme_weight_range(tmp_path, cap
     assert code == 0
     report = _report(capsys)
     assert any("connectivity check passed" in note for note in report["notes"])
+
+
+@pytest.mark.parametrize("strict, code", [(False, 0), (True, 2)])
+def test_sample_over_the_check_cap_is_not_certified(tmp_path, capsys, strict, code):
+    # 9x9 unit margins behind a zero diagonal have 133,496 states; the check
+    # stops counting past 20,000 and says so
+    weights = _write(tmp_path / "w.txt", "\n".join(
+        " ".join("0" if i == j else "1" for j in range(9)) for i in range(9)))
+    matrix = _write(tmp_path / "m.txt", "\n".join(
+        " ".join("1" if j == (i + 1) % 9 else "0" for j in range(9)) for i in range(9)))
+    argv = ["sample", matrix, "--weights", weights, "--samples", "5",
+            "--out", str(tmp_path / "run")] + (["--strict"] if strict else [])
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "warning: connectivity not checked: the state space exceeds 20000 states" in err
+    assert ("--strict is set" in err) == strict
+
+
+@pytest.mark.parametrize("argv, evaluations", [
+    # cmd_sample's start check, run_ensemble's, and one retained sample per chain
+    (["sample", "--stats", "c-score", "--chains", "3", "--samples", "1"], 5),
+    # the start check, the observed value and one null sample
+    (["nullmodel", "--statistic", "c-score", "--burn-in", "0", "--thin", "1",
+      "--samples", "1"], 3),
+])
+def test_chains_skip_the_start_check_the_command_made(tmp_path, toy_files, capsys, monkeypatch,
+                                                       argv, evaluations):
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return c_score(matrix)
+
+    registry = dict(stats.STATISTICS)
+    registry["c-score"] = replace(registry["c-score"], func=counted)
+    monkeypatch.setattr(stats, "STATISTICS", registry)
+    matrix, weights = toy_files
+    assert main([argv[0], matrix, "--weights", weights, *argv[1:],
+                 "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == evaluations
 
 
 # -- start checks: refused before the zero check, a worker or a chain ----------

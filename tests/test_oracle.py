@@ -35,6 +35,7 @@ from fixedmargin import (
     random_binary_matrix,
     run_chain,
     stationarity_residual,
+    swap_components,
     swap_step,
     with_corner_zeros,
 )
@@ -512,21 +513,53 @@ def test_move_graph_matches_the_dense_kernel(zero_pattern_spaces):
                            for column in (graph.src, graph.dst, graph.prob, graph.stay))
 
 
-def test_every_algorithm_has_swaps_components(zero_pattern_spaces):
+def _band_space():
+    """4x4 unit margins with w > 0 only at (i, i) and (i, i+1 mod 4).
+
+    Its two states, the identity and the 4-cycle, differ on all eight cells,
+    so no swap joins them.
+    """
+    w = np.zeros((4, 4))
+    for i in range(4):
+        w[i, i] = 1.0 + i
+        w[i, (i + 1) % 4] = 2.0
+    return enumerate_space([1] * 4, [1] * 4, WeightMatrix(w))
+
+
+def test_every_algorithm_has_swaps_components(zero_pattern_spaces, no_diagonal):
     # the CLI certifies every sampler with swap moves: a trade of k columns
     # is k legal swaps in a row, and a legal swap is a one-column trade
+    band = _band_space()
+    diagonal = enumerate_space([1] * 3, [1] * 3, no_diagonal[0])
     split = 0
-    for space in zero_pattern_spaces:
+    for space in [*zero_pattern_spaces, diagonal, band]:
         components = connectivity(space, "swap")
+        count = swap_components(space.row_sums, space.col_sums, space.weights)
         for algorithm in ALGORITHMS:
             assert connectivity(space, algorithm) == components
+            assert count == len(connectivity(space, algorithm))
         _, labels = scipy.sparse.csgraph.connected_components(exact_kernel(space, "swap") > 0.0)
         expected = {}
         for state, label in enumerate(labels.tolist()):
             expected.setdefault(label, []).append(state)
         assert components == list(expected.values())
         split += len(components) > 1
-    assert split >= 1
+    assert split >= 3
+    assert len(band) == 2
+    assert swap_components(band.row_sums, band.col_sums, band.weights) == 2
+    assert swap_components(diagonal.row_sums, diagonal.col_sums, diagonal.weights) == 2
+
+
+def test_swap_components_keeps_the_enumeration_cap():
+    # S_4 has 24 states, connected by transpositions
+    assert swap_components([1] * 4, [1] * 4, cap=24) == 1
+    with pytest.raises(SpaceTooLargeError, match="cap of 23"):
+        swap_components([1] * 4, [1] * 4, cap=23)
+    with pytest.raises(SpaceTooLargeError, match="cap of 23"):
+        enumerate_space([1] * 4, [1] * 4, cap=23)
+    # infeasible margins: no state, so no component
+    assert swap_components([3], [1, 1]) == 0
+    assert len(connectivity(enumerate_space([3], [1, 1]), "swap")) == 0
 
 
 def test_curveball_move_graph_needs_two_rows():
