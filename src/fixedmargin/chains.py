@@ -20,7 +20,8 @@ from ._streams import UniformStream
 from .matrices import BinaryMatrix, WeightMatrix, require_compatible
 from .stats import get_statistic
 
-# a sampler module provides _start(state), _stepper(state, weights, u), _outcomes(rows, weights)
+# a sampler module provides _start(state), _stepper(state, weights, u) and
+# _outcomes(states, weights): one iterable of outcomes per state's row bitsets
 SAMPLERS = {"swap": swap, "curveball": curveball}
 ALGORITHMS = tuple(SAMPLERS)
 

@@ -23,7 +23,7 @@ single swaps on most inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, trunc
 
@@ -204,31 +204,44 @@ def _stepper(state: BinaryMatrix, weights: WeightMatrix, u):
     return step
 
 
-def _outcomes(rows, weights: WeightMatrix):
-    """Every outcome of one proposal from the state `rows`, as (share, i, i', moved, p).
+def _outcomes(states, weights: WeightMatrix):
+    """One list of outcomes per state of `states`, as (share, i, i', moved, p) each.
 
-    For each of the C(m, 2) row pairs, the outcomes of `_draw_split`: k
-    crossing columns with probability P(k), then each pair of k-subsets
-    equally likely.  A trade flips the columns `moved` in rows i and i' with
-    probability p; moved is 0 for a no-trade or the identity trade.
+    `states` yields each state's row bitsets.  For each of the C(m, 2) row
+    pairs, the outcomes of `_draw_split`: k crossing columns with
+    probability P(k), then each pair of k-subsets equally likely.  A trade
+    flips the columns `moved` in rows i and i' with probability p; moved is
+    0 for a no-trade or the identity trade.  A pair's outcomes depend on the
+    state only through its two candidate masks, so this call lists them
+    once per (i, i', cand_i, cand_i') and replays them for every state that
+    repeats it.
     """
-    m, log_rows = weights.m, weights._log_rows
-    inv_pairs = 1.0 / (m * (m - 1) // 2)
-    for i, ip in combinations(range(m), 2):
-        cand_a, cand_b = _candidates(rows, weights._pos_masks, i, ip)
+    m, log_rows, pos_masks = weights.m, weights._log_rows, weights._pos_masks
+    pairs = list(combinations(range(m), 2))
+
+    @cache  # the table lives as long as this call's iterator
+    def pair_outcomes(i, ip, cand_a, cand_b) -> list:
+        inv_pairs = 1.0 / len(pairs)
         if not cand_a or not cand_b:
-            yield inv_pairs, i, ip, 0, 0.0
-            continue
+            return [(inv_pairs, i, ip, 0, 0.0)]
         cand_i, cand_ip = _columns(cand_a), _columns(cand_b)
         a, b = len(cand_i), len(cand_ip)
         law = _crossing_law(a, b)
-        yield inv_pairs * law[0], i, ip, 0, 0.0  # the identity trade
+        outcomes = [(inv_pairs * law[0], i, ip, 0, 0.0)]  # the identity trade
         for k in range(1, len(law)):
             share = inv_pairs * law[k] / (comb(a, k) * comb(b, k))
             for gained_ip in combinations(cand_i, k):
                 for gained_i in combinations(cand_ip, k):
                     moved = sum(1 << j for j in gained_i + gained_ip)
-                    yield share, i, ip, moved, _trade_prob(log_rows, i, ip, gained_i, gained_ip)
+                    p = _trade_prob(log_rows, i, ip, gained_i, gained_ip)
+                    outcomes.append((share, i, ip, moved, p))
+        return outcomes
+
+    def state_outcomes(rows) -> list:
+        return [outcome for i, ip in pairs
+                for outcome in pair_outcomes(i, ip, *_candidates(rows, pos_masks, i, ip))]
+
+    return map(state_outcomes, states)
 
 
 def propose_trade(state: BinaryMatrix, weights: WeightMatrix, rng, rows=None) -> TradeProposal | None:

@@ -35,7 +35,8 @@ class EnumeratedSpace:
     `probabilities[s]` is the exact model probability of `states[s]`;
     log_kappa is the log of the normalizing constant kappa, the sum of
     cell-weight products over all states.  States are listed in a
-    deterministic row-wise order; `index_of` finds a matrix by its row bitsets.
+    deterministic row-wise order; `index_of` finds a matrix by its row bitsets,
+    and `_keys` maps the packed keys of `_state_rows` to indices, in order.
     """
 
     row_sums: np.ndarray
@@ -45,6 +46,7 @@ class EnumeratedSpace:
     probabilities: np.ndarray
     log_kappa: float
     _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
+    _keys: dict[int, int] = field(repr=False, default_factory=dict)
     _moves: dict[str, MoveGraph] = field(repr=False, default_factory=dict)
 
     def __len__(self) -> int:
@@ -128,22 +130,30 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     SpaceTooLargeError as soon as more than `cap` states are found.
     """
     r, c, weights = _margins(row_sums, col_sums, weights)
-    n, full = c.size, (1 << c.size) - 1
-    shifts = range(0, r.size * n, n)
-    rows = [tuple(key >> shift & full for shift in shifts)
-            for key in _state_rows(r, c, weights, cap)]
-    if not rows:
+    keys = _state_rows(r, c, weights, cap)
+    if not keys:
         return EnumeratedSpace(r, c, weights, [], np.zeros(0), -math.inf, {})
 
+    m, n, full = r.size, c.size, (1 << c.size) - 1
+    rows = [tuple(key >> shift & full for shift in range(0, m * n, n)) for key in keys]
     states = [BinaryMatrix._from_row_bits(bits, n) for bits in rows]
-    logps = np.array([float(weights.log_weights[state.entries == 1].sum()) for state in states])
+    # a key's set bits, ascending, are its state's cells in row-major order, so
+    # each row of the gather holds `log_weights[entries == 1]` in that order,
+    # and a sum over the contiguous last axis adds it in the same pairwise
+    # order, bit for bit; 4,096 states at a time bound the temporaries
+    flat, width, sums = weights.log_weights.ravel(), (m * n + 7) // 8, []
+    for start in range(0, len(keys), 4096):
+        part = keys[start:start + 4096]
+        packed = np.frombuffer(b"".join(key.to_bytes(width, "little") for key in part), np.uint8)
+        bits = np.unpackbits(packed.reshape(-1, width), axis=1, count=m * n, bitorder="little")
+        sums.append(flat[np.nonzero(bits)[1].reshape(len(part), -1)].sum(axis=1))
+    logps = np.concatenate(sums)
     peak = logps.max()
     scaled = np.exp(logps - peak)
     total = scaled.sum()
     probabilities = scaled / total
-    index = {bits: idx for idx, bits in enumerate(rows)}
-    return EnumeratedSpace(r, c, weights, states, probabilities,
-                           float(peak + np.log(total)), index)
+    return EnumeratedSpace(r, c, weights, states, probabilities, float(peak + np.log(total)),
+                           dict(zip(rows, range(len(keys)))), dict(zip(keys, range(len(keys)))))
 
 
 def swap_components(row_sums, col_sums, weights: WeightMatrix | None = None,
@@ -220,7 +230,8 @@ class MoveGraph:
     from move legality, not from floats.  Moves are listed source by source,
     so src is sorted, and no (src, dst) pair repeats.  The reverse of a legal
     move is legal, so the graph is symmetric.  targets[s] lists state s's
-    move targets, for the breadth-first searches.  The space caches its
+    move targets, the index ints of `space._keys`, for the breadth-first
+    searches.  The space caches its
     graphs, so the arrays are read-only and the lists are not to be changed.
     """
 
@@ -265,23 +276,19 @@ def exact_kernel(space: EnumeratedSpace, algorithm: str) -> np.ndarray:
 def _moves(space: EnumeratedSpace, outcomes):
     """The move graph's columns and target lists, accumulated one proposal outcome at a time.
 
-    `outcomes` is a sampler's `_outcomes`.  An outcome moves nowhere, with
-    p = 0.0, when it flips nothing or its target is not a state: a swap
-    that lands a 1 on a zero weight.  The target lists share the index ints
-    of `space._index`.
+    `outcomes` is a sampler's `_outcomes`, given every state's row bitsets.
+    An outcome moves nowhere, with p = 0.0, when it flips nothing or its
+    target is not a state: a swap that lands a 1 on a zero weight.  Flipping
+    `moved` in rows i and i' is one XOR of the state's packed key, and the
+    target is looked up in `space._keys`, whose index ints the target lists share.
     """
-    index, weights = space._index, space.weights
+    keys, n = space._keys, space.weights.n
     src, dst, prob, stay, targets = array("q"), array("q"), array("d"), array("d"), []
-    for s, state in enumerate(space.states):
-        rows = state._rows
+    listed = outcomes((state._rows for state in space.states), space.weights)
+    for s, (key, state_outcomes) in enumerate(zip(keys, listed)):
         mass, out = 0.0, []
-        for share, i, ip, moved, p in outcomes(rows, weights):
-            t = None
-            if moved:
-                target = list(rows)
-                target[i] ^= moved
-                target[ip] ^= moved
-                t = index.get(tuple(target))
+        for share, i, ip, moved, p in state_outcomes:
+            t = keys.get(key ^ (moved << i * n | moved << ip * n)) if moved else None
             if t is None:
                 p = 0.0
             else:

@@ -107,24 +107,28 @@ def _stepper(state: BinaryMatrix, weights: WeightMatrix, u):
     return step
 
 
-def _outcomes(rows, weights: WeightMatrix):
-    """Every outcome of one proposal from the state `rows`, as (share, i, i', moved, p).
+def _outcomes(states, weights: WeightMatrix):
+    """One iterator of outcomes per state of `states`, as (share, i, i', moved, p) each.
 
-    Each pair of the k 1-cells has share 1 / C(k, 2) and flips the columns
-    `moved` in rows i and i' with probability p; moved is 0 for no checkerboard.
+    `states` yields each state's row bitsets.  Each pair of its k 1-cells
+    has share 1 / C(k, 2) and flips the columns `moved` in rows i and i'
+    with probability p; moved is 0 for no checkerboard.
     """
-    ones = _cells(rows)
-    k = len(ones)
-    if k < 2:
-        yield 1.0, 0, 0, 0, 0.0
-        return
-    inv_pairs = 1.0 / (k * (k - 1) // 2)
-    for (i, j), (ip, jp) in combinations(ones, 2):
-        d = _swap_weights(rows, weights._log_rows, i, j, ip, jp)
-        if d is None:
-            yield inv_pairs, i, ip, 0, 0.0
-        else:
-            yield inv_pairs, i, ip, 1 << j | 1 << jp, _accept_prob(d)
+    def state_outcomes(rows):
+        ones = _cells(rows)
+        k = len(ones)
+        if k < 2:
+            yield 1.0, 0, 0, 0, 0.0
+            return
+        inv_pairs = 1.0 / (k * (k - 1) // 2)
+        for (i, j), (ip, jp) in combinations(ones, 2):
+            d = _swap_weights(rows, weights._log_rows, i, j, ip, jp)
+            if d is None:
+                yield inv_pairs, i, ip, 0, 0.0
+            else:
+                yield inv_pairs, i, ip, 1 << j | 1 << jp, _accept_prob(d)
+
+    return map(state_outcomes, states)
 
 
 def propose_swap(state: BinaryMatrix, weights: WeightMatrix, rng) -> SwapProposal | None:

@@ -157,6 +157,38 @@ def test_enumeration_matches_brute_force_scan():
     assert nonempty >= 4
 
 
+def _per_state_law(space):
+    # the per-state formula the enumeration's batched gather must reproduce bit for bit
+    logps = np.array([float(space.weights.log_weights[state.entries == 1].sum())
+                      for state in space.states])
+    peak = logps.max()
+    scaled = np.exp(logps - peak)
+    total = scaled.sum()
+    return scaled / total, float(peak + np.log(total))
+
+
+def test_log_probabilities_match_the_per_state_formula_bit_for_bit(
+        alternating_weights, unit_margins, zero_pattern_spaces, no_diagonal):
+    rng = np.random.default_rng(1818)
+    spaces = [
+        enumerate_space(*unit_margins, alternating_weights),
+        *zero_pattern_spaces,
+        enumerate_space([1] * 3, [1] * 3, no_diagonal[0]),
+        enumerate_space([2] * 5, [2] * 5, WeightMatrix(rng.lognormal(0.0, 1.0, size=(5, 5)))),
+        # weights spanning 1e-150 .. 1e150
+        enumerate_space([2, 1, 2, 1], [1, 2, 1, 2], WeightMatrix(10.0 ** rng.uniform(-150, 150, (4, 4)))),
+        # 5,040 states: more than one chunk of the gather
+        enumerate_space([1] * 7, [1] * 7, WeightMatrix(rng.lognormal(0.0, 1.0, size=(7, 7)))),
+        # all margins 0: one state with no 1 to gather
+        enumerate_space([0, 0], [0, 0, 0], WeightMatrix(rng.lognormal(0.0, 1.0, size=(2, 3)))),
+    ]
+    assert [len(space) for space in spaces[-4:]] == [2040, 34, 5040, 1]
+    for space in spaces:
+        probabilities, log_kappa = _per_state_law(space)
+        assert space.probabilities.tobytes() == probabilities.tobytes()
+        assert space.log_kappa == log_kappa
+
+
 # -- exact kernels ----------------------------------------------------------------
 
 
@@ -273,6 +305,22 @@ def test_kernel_rows_sum_to_one_and_balance_holds():
             assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
             assert balance_residual(space, algorithm) < 1e-12
             assert stationarity_residual(space, algorithm) < 1e-12
+
+
+def test_each_move_graph_build_lists_its_own_outcomes():
+    # equal margins, so equal candidate masks, and different weights, built
+    # one after the other: an outcome table that outlived one build, or was
+    # keyed without the weights, would hand the second space the first's law
+    rng = np.random.default_rng(1819)
+    graphs = []
+    for _ in range(2):
+        space = enumerate_space([2] * 4, [2] * 4, WeightMatrix(rng.lognormal(0.0, 1.0, size=(4, 4))))
+        graphs.append(move_graph(space, "curveball"))
+        assert balance_residual(space, "curveball") < 1e-12
+        assert stationarity_residual(space, "curveball") < 1e-12
+    first, second = graphs
+    assert np.array_equal(first.src, second.src) and np.array_equal(first.dst, second.dst)
+    assert not np.array_equal(first.prob, second.prob)
 
 
 def test_exact_probabilities_are_the_stationary_eigenvector(alternating_weights, unit_margins):
