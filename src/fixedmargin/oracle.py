@@ -231,8 +231,8 @@ class MoveGraph:
     so src is sorted, and no (src, dst) pair repeats.  The reverse of a legal
     move is legal, so the graph is symmetric.  targets[s] lists state s's
     move targets, the index ints of `space._keys`, for the breadth-first
-    searches.  The space caches its
-    graphs, so the arrays are read-only and the lists are not to be changed.
+    searches.  The space caches its graphs, so the arrays are read-only and
+    the lists are not to be changed.
     """
 
     src: np.ndarray
