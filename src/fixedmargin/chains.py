@@ -20,8 +20,7 @@ from ._streams import UniformStream
 from .matrices import BinaryMatrix, WeightMatrix, require_compatible
 from .stats import get_statistic
 
-# a sampler module provides _start(state), _stepper(state, weights, u) and
-# _outcomes(states, weights): one iterable of outcomes per state's row bitsets
+# a sampler module provides _start(state), _stepper(state, weights, u), _outcomes(states, weights)
 SAMPLERS = {"swap": swap, "curveball": curveball}
 ALGORITHMS = tuple(SAMPLERS)
 

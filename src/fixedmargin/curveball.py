@@ -205,29 +205,27 @@ def _stepper(state: BinaryMatrix, weights: WeightMatrix, u):
 
 
 def _outcomes(states, weights: WeightMatrix):
-    """One list of outcomes per state of `states`, as (share, i, i', moved, p) each.
+    """One list of outcomes per state's row bitsets in `states`, as (share, i, i', moved, p).
 
-    `states` yields each state's row bitsets.  For each of the C(m, 2) row
-    pairs, the outcomes of `_draw_split`: k crossing columns with
-    probability P(k), then each pair of k-subsets equally likely.  A trade
-    flips the columns `moved` in rows i and i' with probability p; moved is
-    0 for a no-trade or the identity trade.  A pair's outcomes depend on the
-    state only through its two candidate masks, so this call lists them
-    once per (i, i', cand_i, cand_i') and replays them for every state that
-    repeats it.
+    For each of the C(m, 2) row pairs, the outcomes of `_draw_split`: k
+    crossing columns with probability P(k), then each pair of k-subsets
+    equally likely.  A trade flips the columns `moved` in rows i and i' with
+    probability p; moved is 0 for a no-trade or the identity trade.  A
+    pair's outcomes depend on the state only through its two candidate
+    masks, so they are listed once per (i, i', cand_i, cand_i') and
+    replayed, from a table emptied between states past 2**15 outcomes.
     """
     m, log_rows, pos_masks = weights.m, weights._log_rows, weights._pos_masks
-    pairs = list(combinations(range(m), 2))
+    pairs, held = list(combinations(range(m), 2)), 0  # held: outcomes in the table
 
-    @cache  # the table lives as long as this call's iterator
+    @cache
     def pair_outcomes(i, ip, cand_a, cand_b) -> list:
+        nonlocal held
         inv_pairs = 1.0 / len(pairs)
-        if not cand_a or not cand_b:
-            return [(inv_pairs, i, ip, 0, 0.0)]
         cand_i, cand_ip = _columns(cand_a), _columns(cand_b)
         a, b = len(cand_i), len(cand_ip)
-        law = _crossing_law(a, b)
-        outcomes = [(inv_pairs * law[0], i, ip, 0, 0.0)]  # the identity trade
+        law = _crossing_law(a, b)  # (1.0,) when a side is empty: the no-trade
+        outcomes = [(inv_pairs * law[0], i, ip, 0, 0.0)]  # or the identity trade
         for k in range(1, len(law)):
             share = inv_pairs * law[k] / (comb(a, k) * comb(b, k))
             for gained_ip in combinations(cand_i, k):
@@ -235,9 +233,14 @@ def _outcomes(states, weights: WeightMatrix):
                     moved = sum(1 << j for j in gained_i + gained_ip)
                     p = _trade_prob(log_rows, i, ip, gained_i, gained_ip)
                     outcomes.append((share, i, ip, moved, p))
+        held += len(outcomes)
         return outcomes
 
     def state_outcomes(rows) -> list:
+        nonlocal held
+        if held > 1 << 15:  # bounds memory where states rarely repeat a pair's masks
+            pair_outcomes.cache_clear()
+            held = 0
         return [outcome for i, ip in pairs
                 for outcome in pair_outcomes(i, ip, *_candidates(rows, pos_masks, i, ip))]
 

@@ -35,8 +35,8 @@ class EnumeratedSpace:
     `probabilities[s]` is the exact model probability of `states[s]`;
     log_kappa is the log of the normalizing constant kappa, the sum of
     cell-weight products over all states.  States are listed in a
-    deterministic row-wise order; `index_of` finds a matrix by its row bitsets,
-    and `_keys` maps the packed keys of `_state_rows` to indices, in order.
+    deterministic row-wise order; `_keys` maps their packed keys, as
+    `_state_rows` lists them, to indices, and serves `index_of`.
     """
 
     row_sums: np.ndarray
@@ -45,7 +45,6 @@ class EnumeratedSpace:
     states: list[BinaryMatrix]
     probabilities: np.ndarray
     log_kappa: float
-    _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
     _keys: dict[int, int] = field(repr=False, default_factory=dict)
     _moves: dict[str, MoveGraph] = field(repr=False, default_factory=dict)
 
@@ -59,9 +58,10 @@ class EnumeratedSpace:
             return float(np.exp(self.log_kappa))
 
     def index_of(self, matrix: BinaryMatrix) -> int:
-        index = None
-        if (matrix.m, matrix.n) == (self.weights.m, self.weights.n):
-            index = self._index.get(tuple(matrix._rows))
+        key, shape = 0, (self.weights.m, self.weights.n)
+        for row in reversed(matrix._rows):
+            key = key << matrix.n | row
+        index = self._keys.get(key) if (matrix.m, matrix.n) == shape else None
         if index is None:
             raise StateNotInSpaceError(
                 "matrix is not a positive-probability state of this space"
@@ -135,12 +135,11 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
         return EnumeratedSpace(r, c, weights, [], np.zeros(0), -math.inf, {})
 
     m, n, full = r.size, c.size, (1 << c.size) - 1
-    rows = [tuple(key >> shift & full for shift in range(0, m * n, n)) for key in keys]
-    states = [BinaryMatrix._from_row_bits(bits, n) for bits in rows]
-    # a key's set bits, ascending, are its state's cells in row-major order, so
-    # each row of the gather holds `log_weights[entries == 1]` in that order,
-    # and a sum over the contiguous last axis adds it in the same pairwise
-    # order, bit for bit; 4,096 states at a time bound the temporaries
+    shifts = range(0, m * n, n)
+    states = [BinaryMatrix._from_row_bits([key >> s & full for s in shifts], n) for key in keys]
+    # a key's set bits, ascending, are its state's cells in row-major order, so each
+    # gathered row is `log_weights[entries == 1]`, summed over the contiguous last axis
+    # in the same pairwise order, bit for bit; 4,096 states at a time bound the temporaries
     flat, width, sums = weights.log_weights.ravel(), (m * n + 7) // 8, []
     for start in range(0, len(keys), 4096):
         part = keys[start:start + 4096]
@@ -153,7 +152,7 @@ def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
     total = scaled.sum()
     probabilities = scaled / total
     return EnumeratedSpace(r, c, weights, states, probabilities, float(peak + np.log(total)),
-                           dict(zip(rows, range(len(keys)))), dict(zip(keys, range(len(keys)))))
+                           dict(zip(keys, range(len(keys)))))
 
 
 def swap_components(row_sums, col_sums, weights: WeightMatrix | None = None,
@@ -230,9 +229,8 @@ class MoveGraph:
     from move legality, not from floats.  Moves are listed source by source,
     so src is sorted, and no (src, dst) pair repeats.  The reverse of a legal
     move is legal, so the graph is symmetric.  targets[s] lists state s's
-    move targets, the index ints of `space._keys`, for the breadth-first
-    searches.  The space caches its graphs, so the arrays are read-only and
-    the lists are not to be changed.
+    move targets, for the breadth-first searches.  The space caches its
+    graphs, so the arrays are read-only and the lists are not to be changed.
     """
 
     src: np.ndarray
@@ -278,9 +276,9 @@ def _moves(space: EnumeratedSpace, outcomes):
 
     `outcomes` is a sampler's `_outcomes`, given every state's row bitsets.
     An outcome moves nowhere, with p = 0.0, when it flips nothing or its
-    target is not a state: a swap that lands a 1 on a zero weight.  Flipping
-    `moved` in rows i and i' is one XOR of the state's packed key, and the
-    target is looked up in `space._keys`, whose index ints the target lists share.
+    target is not a state: a swap that lands a 1 on a zero weight.  A target
+    is one XOR of the state's packed key, looked up in `space._keys`, whose
+    index ints the target lists share.
     """
     keys, n = space._keys, space.weights.n
     src, dst, prob, stay, targets = array("q"), array("q"), array("d"), array("d"), []

@@ -108,11 +108,11 @@ def _stepper(state: BinaryMatrix, weights: WeightMatrix, u):
 
 
 def _outcomes(states, weights: WeightMatrix):
-    """One iterator of outcomes per state of `states`, as (share, i, i', moved, p) each.
+    """One iterator of outcomes per state's row bitsets in `states`, as (share, i, i', moved, p).
 
-    `states` yields each state's row bitsets.  Each pair of its k 1-cells
-    has share 1 / C(k, 2) and flips the columns `moved` in rows i and i'
-    with probability p; moved is 0 for no checkerboard.
+    Each pair of a state's k 1-cells has share 1 / C(k, 2) and flips the
+    columns `moved` in rows i and i' with probability p; moved is 0 for no
+    checkerboard.
     """
     def state_outcomes(rows):
         ones = _cells(rows)

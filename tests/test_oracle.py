@@ -8,6 +8,7 @@ certify the samplers with machinery the samplers share.
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from fixedmargin import (
     swap_step,
     with_corner_zeros,
 )
+from fixedmargin import curveball
 from fixedmargin.chains import ALGORITHMS
 
 
@@ -321,6 +323,29 @@ def test_each_move_graph_build_lists_its_own_outcomes():
     first, second = graphs
     assert np.array_equal(first.src, second.src) and np.array_equal(first.dst, second.dst)
     assert not np.array_equal(first.prob, second.prob)
+
+
+def test_curveball_outcome_table_stays_bounded_where_states_never_repeat():
+    # with three rows, two rows fix the third, so no two states share a row
+    # pair's candidate masks: the listing has 148,860 outcomes, none twice,
+    # and a table kept for the whole build would hold them all at once
+    rng = np.random.default_rng(1820)
+    weights = WeightMatrix(rng.lognormal(0.0, 1.0, size=(3, 9)))
+    space = enumerate_space([4, 4, 4], [2, 1, 2, 1, 1, 2, 1, 1, 1], weights)
+    rows = [state._rows for state in space.states]
+    blocks, listed = sys.getallocatedblocks(), 0
+    listing = curveball._outcomes(rows, weights)
+    for s, outcomes in enumerate(listing):
+        listed += len(outcomes)
+        if s % 97 == 0:  # a fresh call, with a fresh table, lists the same outcomes
+            assert outcomes == next(curveball._outcomes([rows[s]], weights))
+    assert listed == 148_860
+    # the live listing's table holds at most 2**15 outcomes of a few small
+    # blocks each (46,000 blocks here); all 148,860 of them take over 380,000
+    assert sys.getallocatedblocks() - blocks < (1 << 15) * 4
+    del listing
+    assert balance_residual(space, "curveball") < 1e-12
+    assert stationarity_residual(space, "curveball") < 1e-12
 
 
 def test_exact_probabilities_are_the_stationary_eigenvector(alternating_weights, unit_margins):
