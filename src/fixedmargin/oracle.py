@@ -9,9 +9,11 @@ the proposal graph, and divergence of empirical visit frequencies.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,10 +60,14 @@ class EnumeratedSpace:
             return float(np.exp(self.log_kappa))
 
     def index_of(self, matrix: BinaryMatrix) -> int:
-        key, shape = 0, (self.weights.m, self.weights.n)
-        for row in reversed(matrix._rows):
-            key = key << matrix.n | row
-        index = self._keys.get(key) if (matrix.m, matrix.n) == shape else None
+        return self._index(matrix._rows, matrix.n)
+
+    def _index(self, rows, n: int) -> int:
+        """The index of the state whose row bitsets, n columns wide, are `rows`."""
+        key = 0
+        for row in reversed(rows):
+            key = key << n | row
+        index = self._keys.get(key) if (len(rows), n) == (self.weights.m, self.weights.n) else None
         if index is None:
             raise StateNotInSpaceError(
                 "matrix is not a positive-probability state of this space"
@@ -89,36 +95,47 @@ def _margins(row_sums, col_sums, weights: WeightMatrix | None):
 def _state_rows(r: np.ndarray, c: np.ndarray, weights: WeightMatrix, cap: int) -> list[int]:
     """Every state as one packed int, row i in bits i*n .. i*n + n - 1.
 
-    Row-wise backtracking with column-capacity pruning, in the order the
-    states are listed.  Infeasible margins give no state.  Raises
-    SpaceTooLargeError as soon as more than `cap` states are found.
+    A depth-first listing: row i takes its columns in
+    `itertools.combinations` order over its open allowed columns, keeping a
+    choice only if no column then needs more 1s than rows are left, and the
+    rows below follow in the same order.  Rows i .. m-1 depend only on i
+    and the column capacities the rows above leave, so `suffixes` lists
+    them once per (i, capacities) in each call, already at their bit
+    positions, and each choice of row i is ORed onto every such tail in one
+    list comprehension.  Infeasible margins give no state.  Raises
+    SpaceTooLargeError as soon as any list holds more than `cap` keys: a
+    suffix list of length L already implies at least L states.
     """
     m, n = r.size, c.size
-    keys: list[int] = []
     if not (m > 0 and n > 0 and r.sum() == c.sum() and (r <= n).all() and (c <= m).all()):
-        return keys
+        return []
     allowed = [_columns(mask) for mask in weights._pos_masks]
-    remaining = c.tolist()
     need = r.tolist()
 
-    def descend(i: int, key: int) -> None:
+    @functools.cache
+    def suffixes(i: int, remaining: tuple[int, ...]) -> list[int]:
+        # rows i .. m-1, in place, of every state whose rows above leave `remaining`
         if i == m:
-            if len(keys) >= cap:
-                raise SpaceTooLargeError(f"state space exceeds the cap of {cap} states")
-            keys.append(key)
-            return
+            return [0]
         rows_left_after = m - i - 1
-        open_cols = [j for j in allowed[i] if remaining[j] > 0]
-        for cols in itertools.combinations(open_cols, need[i]):
+        left = list(remaining)
+        keys: list[int] = []
+        for cols in itertools.combinations([j for j in allowed[i] if left[j] > 0], need[i]):
             for j in cols:
-                remaining[j] -= 1
-            if max(remaining) <= rows_left_after:
-                descend(i + 1, key | sum(1 << j for j in cols) << i * n)
+                left[j] -= 1
+            if max(left) <= rows_left_after:
+                bits = sum(1 << j for j in cols) << i * n
+                keys += [bits | tail for tail in suffixes(i + 1, tuple(left))]
+                if len(keys) > cap:
+                    raise SpaceTooLargeError(f"state space exceeds the cap of {cap} states")
             for j in cols:
-                remaining[j] += 1
+                left[j] += 1
+        return keys
 
-    descend(0, 0)
-    return keys
+    try:
+        return suffixes(0, tuple(c.tolist()))
+    finally:
+        suffixes.cache_clear()  # the cache refers to itself, so it would wait for the collector
 
 
 def enumerate_space(row_sums, col_sums, weights: WeightMatrix | None = None,
@@ -430,12 +447,17 @@ def empirical_distribution(traces, space: EnumeratedSpace) -> SampleComparison:
     """
     if isinstance(traces, Trace):
         traces = [traces]
+    n = space.weights.n
     counts = np.zeros(len(space.states), dtype=np.int64)
     for trace in traces:
         if trace.matrices is None:
             raise ValueError("trace was run without keep_matrices; no states to compare")
-        for matrix in trace.matrices:
-            counts[space.index_of(matrix)] += 1
+        # one pass tallies the trace's states by their rows, then each distinct one is looked up
+        tally = Counter(tuple(matrix._rows) for matrix in trace.matrices if matrix.n == n)
+        if tally.total() < len(trace.matrices):
+            raise StateNotInSpaceError("a retained matrix has another shape than the space")
+        for rows, count in tally.items():
+            counts[space._index(rows, n)] += count
     total = int(counts.sum())
     if total == 0:
         raise ValueError("no retained matrices to compare")

@@ -42,6 +42,7 @@ from fixedmargin import (
 )
 from fixedmargin import curveball
 from fixedmargin.chains import ALGORITHMS
+from fixedmargin.oracle import _margins, _state_rows
 
 
 def perm_matrix(sigma):
@@ -157,6 +158,69 @@ def test_enumeration_matches_brute_force_scan():
         for state, prob in zip(space.states, space.probabilities):
             assert prob == pytest.approx(expected[state.key()] / kappa, rel=1e-12)
     assert nonempty >= 4
+
+
+def _scan_in_listing_order(r, c, weights):
+    # independent oracle for the order: every product of per-row column choices
+    # that meets the column sums (one base-(m+1) digit per column) and avoids the
+    # zeros, sorted by each row's tuple of column indices, as packed keys
+    m, n = len(r), len(c)
+    base = m + 1
+    target = sum(int(cj) * base ** j for j, cj in enumerate(c))
+    choices = [[cols for cols in itertools.combinations(range(n), int(ri))
+                if all(weights.weights[i, j] > 0 for j in cols)] for i, ri in enumerate(r)]
+    found = [rows for rows in itertools.product(*choices)
+             if sum(base ** j for cols in rows for j in cols) == target]
+    return [sum(1 << i * n + j for i, cols in enumerate(rows) for j in cols)
+            for rows in sorted(found)]
+
+
+def test_state_rows_lists_states_in_row_by_row_combination_order():
+    rng = np.random.default_rng(1919)
+    cases = []
+    for m, n in [(3, 4)] * 5 + [(4, 4)] * 5 + [(5, 5)] * 5:
+        w = rng.lognormal(0.0, 1.0, size=(m, n))
+        w[rng.random((m, n)) < 0.15] = 0.0
+        ent = (rng.random((m, n)) < 0.5).astype(np.int8)
+        ent[w == 0.0] = 0
+        cases.append((ent.sum(1), ent.sum(0), WeightMatrix(w)))
+    cases += [
+        ([2] * 5, [2] * 5, WeightMatrix.all_ones(5, 5)),  # 2,040 states, the memo reused
+        ([3], [1, 0, 1, 1, 0], WeightMatrix.all_ones(1, 5)),  # 1xN: one state
+        ([1, 0, 1, 1], [3], WeightMatrix.all_ones(4, 1)),  # Nx1: one state
+        ([0, 0, 0], [0, 0, 0, 0], WeightMatrix.all_ones(3, 4)),  # all-zero margins
+        ([2, 0], [2, 0], WeightMatrix.all_ones(2, 2)),  # equal sums, infeasible
+        ([2, 1, 1], [1, 1, 1, 2], WeightMatrix.all_ones(3, 4)),  # unequal sums
+    ]
+    nonempty = 0
+    for r, c, weights in cases:
+        expected = _scan_in_listing_order(r, c, weights)
+        assert _state_rows(*_margins(r, c, weights), 1_000_000) == expected
+        nonempty += len(expected) > 1
+    assert nonempty >= 13
+
+
+def test_cap_admits_exactly_cap_states():
+    # the 5x5 space with all margins 2 has 2,040 states
+    assert len(enumerate_space([2] * 5, [2] * 5, cap=2040)) == 2040
+    with pytest.raises(SpaceTooLargeError):
+        enumerate_space([2] * 5, [2] * 5, cap=2039)
+
+
+def test_state_listing_peak_memory_stays_near_its_result():
+    # 297,200 states: the memo's suffix lists peak within 3x the keys returned
+    # (about 12 MB), and are gone once the call returns
+    args = _margins([3] * 6, [3] * 6, None)
+    tracemalloc.start()
+    try:
+        keys = _state_rows(*args, 1_000_000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 297_200
+    size = sys.getsizeof(keys) + sum(map(sys.getsizeof, keys))
+    assert peak <= 3 * size
+    assert held <= 1.1 * size
 
 
 def _per_state_law(space):
@@ -715,6 +779,26 @@ def test_multiple_traces_pool_their_counts():
     comparison = empirical_distribution(traces, space)
     assert comparison.n_samples == 3
     assert comparison.counts.tolist() == [1, 2]
+
+
+def test_tally_by_rows_matches_a_per_matrix_lookup():
+    rng = np.random.default_rng(1919)
+    weights = WeightMatrix(rng.lognormal(0.0, 1.0, size=(5, 5)))
+    space = enumerate_space([2] * 5, [2] * 5, weights)
+    traces = [run_chain(space.states[0], weights,
+                        ChainConfig(algorithm=algorithm, thin=3, retained=500, seed=19,
+                                    keep_matrices=True, statistics=()))
+              for algorithm in ALGORITHMS]
+    expected = np.zeros(len(space), dtype=np.int64)
+    for trace in traces:
+        for matrix in trace.matrices:
+            expected[space.index_of(matrix)] += 1
+    comparison = empirical_distribution(traces, space)
+    assert comparison.counts.tolist() == expected.tolist()
+    assert comparison.n_samples == 500 * len(ALGORITHMS)
+    outside = BinaryMatrix.identity(5)  # unit margins: not a state of this space
+    with pytest.raises(StateNotInSpaceError):
+        empirical_distribution([traces[0], _fake_trace([*traces[1].matrices, outside])], space)
 
 
 def test_retained_chain_states_live_in_the_space(alternating_weights, unit_margins):
