@@ -452,7 +452,7 @@ def empirical_distribution(traces, space: EnumeratedSpace) -> SampleComparison:
     for trace in traces:
         if trace.matrices is None:
             raise ValueError("trace was run without keep_matrices; no states to compare")
-        # one pass tallies the trace's states by their rows, then each distinct one is looked up
+        # a matrix of another width would pack to a wrong key: it is left out, so the tally falls short
         tally = Counter(tuple(matrix._rows) for matrix in trace.matrices if matrix.n == n)
         if tally.total() < len(trace.matrices):
             raise StateNotInSpaceError("a retained matrix has another shape than the space")
